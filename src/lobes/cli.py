@@ -84,7 +84,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_aut(args) -> int:
     g = _load_graph(args.graph)
     gens = automorphism_generators(g)
-    order = group_order(gens)
+    try:
+        order = group_order(gens)
+    except ValueError as exc:  # the group-order degree bound
+        raise ResourceCapError(str(exc)) from exc
     vparts = orbit_partition(gens, "vertices")
     eparts = orbit_partition(gens, "edges", graph=g)
     aparts = orbit_partition(gens, "arcs", graph=g)

@@ -393,7 +393,14 @@ def orbit_partition(gens: GeneratorSet, domain: str, *,
         act = lambda p, lobe_id: lobe_of[p][lobe_id]
     else:
         raise ValueError(f"unknown domain {domain!r}")
+    return OrbitPartition(domain, tuple(elements),
+                          _orbit_cells(gens, elements, act, domain))
 
+
+def _orbit_cells(gens: GeneratorSet, elements: list, act,
+                 domain: str) -> tuple[tuple, ...]:
+    """Orbit cells of the generated group on ``elements`` under
+    ``act(p, x)``, each sorted, in the order of their first element."""
     index = {x: i for i, x in enumerate(elements)}
     cell_of = [-1] * len(elements)
     cells = []
@@ -416,7 +423,7 @@ def orbit_partition(gens: GeneratorSet, domain: str, *,
         for x in cell:
             cell_of[index[x]] = len(cells)
         cells.append(cell)
-    return OrbitPartition(domain, tuple(elements), tuple(cells))
+    return tuple(cells)
 
 
 def _check_degree(gens: GeneratorSet, graph: Graph) -> None:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
 from .graph import Graph, bipartition, induced_subgraph, is_connected
-from .symmetry import (GeneratorSet, automorphism_generators,
-                       canonical_certificate, find_isomorphism,
-                       lobe_stabilizer, orbit_partition)
+from .symmetry import (GeneratorSet, _orbit_cells, automorphism_generators,
+                       find_isomorphism, lobe_stabilizer, orbit_partition)
 
 
 class TransitivityError(ValueError):
@@ -101,13 +100,18 @@ def classify_direct(g: Graph) -> OrbitCounts:
     """Ground-truth orbit counts of Aut(g) on vertices, edges, arcs, lobes."""
     if not is_connected(g):
         raise TransitivityError("classify_direct requires a connected input")
-    gens = automorphism_generators(g)
+    d = decompose(g) if connectivity_class(g) == "connectivity_one" else None
+    return _orbit_counts(g, automorphism_generators(g), d)
+
+
+def _orbit_counts(g: Graph, gens: GeneratorSet,
+                  d: LobeDecomposition | None) -> OrbitCounts:
+    """Orbit counts of the group ``gens`` generates; lobes only given ``d``."""
     vertex_orbits = orbit_partition(gens, "vertices").cell_count
     edge_orbits = orbit_partition(gens, "edges", graph=g).cell_count
     arc_orbits = orbit_partition(gens, "arcs", graph=g).cell_count
     lobe_orbits = None
-    if connectivity_class(g) == "connectivity_one":
-        d = decompose(g)
+    if d is not None:
         lobe_orbits = orbit_partition(gens, "lobes",
                                       decomposition=d).cell_count
     return OrbitCounts(vertex_orbits, edge_orbits, arc_orbits, lobe_orbits)
@@ -124,6 +128,18 @@ def is_vertex_transitive_thm(g: Graph, d: LobeDecomposition,
 # Lobe transitivity
 # ---------------------------------------------------------------------------
 
+_LABELING_NODE_BUDGET = 200000
+
+
+def _nonisomorphic_lobes(classes: LobeClasses, lobe0: int) -> Verdict | None:
+    """The failing verdict when some lobe is not isomorphic to ``lobe0``."""
+    k0 = classes.class_of[lobe0]
+    for i, k in enumerate(classes.class_of):
+        if k != k0:
+            return Verdict(False, witness=("nonisomorphic_lobes", (lobe0, i)))
+    return None
+
+
 def _stabilizer_cells(g: Graph, gens_stab: GeneratorSet,
                       vertices) -> list[tuple[int, ...]]:
     """Orbit cells of a lobe stabilizer restricted to that lobe's vertices."""
@@ -137,9 +153,13 @@ def _stabilizer_cells(g: Graph, gens_stab: GeneratorSet,
     return cells
 
 
-def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition, lobe0: int = 0,
-                           node_budget: int = 200000) -> Verdict:
+def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
+                           classes: LobeClasses, gens: GeneratorSet,
+                           lobe0: int = 0) -> Verdict:
     """Lobe transitivity via the two-part criterion.
+
+    ``classes`` is ``lobe_classes(g, d)`` and ``gens`` generates Aut(g)
+    (``automorphism_generators(g)``); ``lobe0`` is the base lobe.
 
     Condition (1): a single lobe isomorphism class.  Condition (2): some
     choice of reference isomorphisms makes every stabilizer-orbit counting
@@ -151,14 +171,11 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition, lobe0: int = 0,
     _require_multi_lobe(g, d, "is_lobe_transitive_thm")
     if not (0 <= lobe0 < d.lobe_count):
         raise TransitivityError(f"invalid base lobe id {lobe0}")
+    failed = _nonisomorphic_lobes(classes, lobe0)
+    if failed is not None:
+        return failed
 
     subs = [induced_subgraph(g, lobe.vertices) for lobe in d.lobes]
-    certs = [canonical_certificate(sub) for sub, _ in subs]
-    for i, cert in enumerate(certs):
-        if cert != certs[lobe0]:
-            return Verdict(False, witness=("nonisomorphic_lobes", (lobe0, i)))
-
-    gens = automorphism_generators(g)
     orb_ix = orbit_partition(gens, "vertices").cell_index()
 
     stab0 = lobe_stabilizer(g, gens, d, lobe0)
@@ -213,8 +230,7 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition, lobe0: int = 0,
             return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
         candidates.append(found)
 
-    return _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels,
-                             node_budget)
+    return _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels)
 
 
 def _product_size(pools) -> int:
@@ -224,8 +240,7 @@ def _product_size(pools) -> int:
     return out
 
 
-def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels,
-                      node_budget) -> Verdict:
+def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels) -> Verdict:
     """Backtracking assignment of one labeling per lobe, block-tree order."""
     order = [lobe0]
     seen = {lobe0}
@@ -240,7 +255,7 @@ def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels,
     remaining = [len(d.lobes_at[v]) for v in range(g.vertex_count)]
     acc = [[0] * n_labels for _ in range(g.vertex_count)]
     ref: dict[int, tuple[int, ...]] = {}
-    budget = [node_budget]
+    budget = [_LABELING_NODE_BUDGET]
     conflict: list = [None]
 
     def assign(pos: int) -> bool:
@@ -289,63 +304,27 @@ def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels,
 # Edge and arc transitivity
 # ---------------------------------------------------------------------------
 
-def is_edge_transitive_thm(g: Graph, d: LobeDecomposition) -> Verdict:
-    """Edge transitivity: edge-transitive isomorphic lobes plus one of the
-    three counting patterns (labelled 3a / 3b / 3c)."""
+def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
+                           classes: LobeClasses) -> Verdict:
+    """Edge transitivity: edge-transitive isomorphic lobes plus a counting
+    pattern.  ``classes`` is ``lobe_classes(g, d)``.
+
+    Of the three patterns (3a / 3b / 3c) only 3c can hold here: 3a and 3b
+    need a vertex-transitive host, and a finite connectivity-1 graph is never
+    vertex-transitive, because a non-cut vertex of a leaf lobe lies in one
+    lobe and a cut vertex in two or more.  3a and 3b arise only in the limit
+    (:func:`lobes.builder.classify_limit`).  Pattern 3c: a bipartite host,
+    lobes isomorphic to lobe 0 by side-preserving maps, and a constant
+    number of lobes at the vertices of each side, at least 2 on one side.
+    """
     _require_multi_lobe(g, d, "is_edge_transitive_thm")
-    classes = lobe_classes(g, d)
-    if classes.class_count > 1:
-        reps = classes.class_reps
-        return Verdict(False, witness=("nonisomorphic_lobes", (reps[0], reps[1])))
-    rep = classes.class_reps[0]
-    rep_sub, rep_orig = induced_subgraph(g, d.lobes[rep].vertices)
+    failed = _nonisomorphic_lobes(classes, 0)
+    if failed is not None:
+        return failed
+    rep_sub, rep_orig = induced_subgraph(g, d.lobes[0].vertices)
     rep_gens = automorphism_generators(rep_sub)
     if orbit_partition(rep_gens, "edges", graph=rep_sub).cell_count != 1:
-        return Verdict(False, witness=("lobe_not_edge_transitive", rep))
-    lobe_vt = orbit_partition(rep_gens, "vertices").cell_count == 1
-    tau = tau_table(g, d, classes)
-    gamma_vt = all(tau.constant.values())
-
-    if gamma_vt and lobe_vt:
-        counts = {len(d.lobes_at[v]) for v in range(g.vertex_count)}
-        if len(counts) == 1 and min(counts) >= 2:
-            return Verdict(True, case="3a", constants=(counts.pop(),))
-        return Verdict(False, witness=("lobe_count_not_constant", None))
-
-    if gamma_vt:
-        return _edge_case_b(g, d, classes, rep, rep_sub, rep_orig)
-
-    return _edge_case_c(g, d, rep, rep_sub, rep_orig)
-
-
-def _edge_case_b(g, d, classes, rep, rep_sub, rep_orig) -> Verdict:
-    """Host vertex-transitive, lobe not: bipartite lobes with side counts.
-
-    Unreachable for finite hosts (finite connectivity-1 graphs are never
-    vertex-transitive); kept for completeness of the case analysis.
-    """
-    sides = bipartition(rep_sub)
-    if sides is None:
-        return Verdict(False, witness=("lobe_not_bipartite", rep))
-    rep_sides = [tuple(rep_orig[x] for x in side) for side in sides]
-    m = []
-    for j, rep_side in enumerate(rep_sides):
-        side_set = set(rep_side)
-        per_vertex: dict[int, int] = {}
-        for i in range(d.lobe_count):
-            image = {classes.sigma[i][x]
-                     for x, v in enumerate(rep_orig) if v in side_set}
-            for v in image:
-                per_vertex[v] = per_vertex.get(v, 0) + 1
-        counts = {per_vertex.get(v, 0) for v in range(g.vertex_count)}
-        if len(counts) != 1:
-            return Verdict(False, witness=("side_count_not_constant", j))
-        m.append(counts.pop())
-    return Verdict(True, case="3b", constants=tuple(m))
-
-
-def _edge_case_c(g, d, rep, rep_sub, rep_orig) -> Verdict:
-    """Host not vertex-transitive: bipartite host with one-sided counts."""
+        return Verdict(False, witness=("lobe_not_edge_transitive", 0))
     sides = bipartition(g)
     if sides is None:
         return Verdict(False, witness=("not_bipartite", None))
@@ -354,13 +333,11 @@ def _edge_case_c(g, d, rep, rep_sub, rep_orig) -> Verdict:
         for v in side:
             side_of[v] = s
     rep_colors = [side_of[v] for v in rep_orig]
-    for i in range(d.lobe_count):
-        if i == rep:
-            continue
+    for i in range(1, d.lobe_count):
         sub_i, orig_i = induced_subgraph(g, d.lobes[i].vertices)
         colors_i = [side_of[v] for v in orig_i]
         if find_isomorphism(rep_sub, sub_i, rep_colors, colors_i) is None:
-            return Verdict(False, witness=("side_alignment", (rep, i)))
+            return Verdict(False, witness=("side_alignment", (0, i)))
     m = []
     for s, side in enumerate(sides):
         counts = {len(d.lobes_at[v]) for v in side}
@@ -374,17 +351,17 @@ def _edge_case_c(g, d, rep, rep_sub, rep_orig) -> Verdict:
     return Verdict(True, case="3c", constants=tuple(m))
 
 
-def is_arc_transitive_thm(g: Graph, d: LobeDecomposition) -> Verdict:
+def is_arc_transitive_thm(g: Graph, d: LobeDecomposition,
+                          classes: LobeClasses) -> Verdict:
     """Arc transitivity: arc-transitive isomorphic lobes and a uniform
-    number of lobes at every vertex."""
+    number of lobes at every vertex.  ``classes`` is ``lobe_classes(g, d)``."""
     _require_multi_lobe(g, d, "is_arc_transitive_thm")
-    subs = [induced_subgraph(g, lobe.vertices)[0] for lobe in d.lobes]
-    certs = [canonical_certificate(sub) for sub in subs]
-    for i, cert in enumerate(certs):
-        if cert != certs[0]:
-            return Verdict(False, witness=("nonisomorphic_lobes", (0, i)))
-    rep_gens = automorphism_generators(subs[0])
-    if orbit_partition(rep_gens, "arcs", graph=subs[0]).cell_count != 1:
+    failed = _nonisomorphic_lobes(classes, 0)
+    if failed is not None:
+        return failed
+    rep_sub = induced_subgraph(g, d.lobes[0].vertices)[0]
+    rep_gens = automorphism_generators(rep_sub)
+    if orbit_partition(rep_gens, "arcs", graph=rep_sub).cell_count != 1:
         return Verdict(False, witness=("lobe_not_arc_transitive", 0))
     counts = {len(d.lobes_at[v]) for v in range(g.vertex_count)}
     if len(counts) != 1:
@@ -430,24 +407,9 @@ def k_arc_orbit_count(g: Graph, k: int) -> int:
     arcs = enumerate_k_arcs(g, k)
     if not arcs:
         raise TransitivityError(f"graph has no {k}-arcs")
-    index = {a: i for i, a in enumerate(arcs)}
     gens = automorphism_generators(g)
-    cell_of = [-1] * len(arcs)
-    count = 0
-    for start in arcs:
-        if cell_of[index[start]] != -1:
-            continue
-        count += 1
-        stack = [start]
-        cell_of[index[start]] = count
-        while stack:
-            a = stack.pop()
-            for p in gens.generators:
-                b = tuple(p[x] for x in a)
-                if cell_of[index[b]] == -1:
-                    cell_of[index[b]] = count
-                    stack.append(b)
-    return count
+    act = lambda p, a: tuple(p[x] for x in a)
+    return len(_orbit_cells(gens, arcs, act, f"{k}-arcs"))
 
 
 # ---------------------------------------------------------------------------
@@ -603,25 +565,27 @@ def classify(g: Graph) -> ClassificationReport:
 
     Theorem verdicts apply only to connectivity-1 inputs (which always have
     at least two lobes); biconnected inputs and K2 are reported by the
-    oracle alone.
+    oracle alone.  Aut(g), the decomposition and the lobe classes are
+    computed once and shared by the oracle and the checkers.
     """
     if not is_connected(g) or g.vertex_count == 0:
         raise TransitivityError("classify requires a nonempty connected input")
     conn = connectivity_class(g)
-    oracle = classify_direct(g)
+    gens = automorphism_generators(g)
+    d = decompose(g) if conn == "connectivity_one" else None
+    oracle = _orbit_counts(g, gens, d)
     theorem = None
     edge_case = None
     m_constants = None
     consistent = None
     witnesses: dict = {}
-    if conn == "connectivity_one":
-        d = decompose(g)
+    if d is not None:
         classes = lobe_classes(g, d)
         tau = tau_table(g, d, classes)
         v_thm = is_vertex_transitive_thm(g, d, tau)
-        l_thm = is_lobe_transitive_thm(g, d)
-        e_thm = is_edge_transitive_thm(g, d)
-        a_thm = is_arc_transitive_thm(g, d)
+        l_thm = is_lobe_transitive_thm(g, d, classes, gens)
+        e_thm = is_edge_transitive_thm(g, d, classes)
+        a_thm = is_arc_transitive_thm(g, d, classes)
         theorem = {
             "vertex": v_thm,
             "lobe": l_thm.holds,

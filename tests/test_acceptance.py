@@ -60,9 +60,10 @@ def _four_verdicts(g):
     tau = tau_table(g, d, classes)
     return {
         "vertex": is_vertex_transitive_thm(g, d, tau),
-        "lobe": is_lobe_transitive_thm(g, d).holds,
-        "edge": is_edge_transitive_thm(g, d).holds,
-        "arc": is_arc_transitive_thm(g, d).holds,
+        "lobe": is_lobe_transitive_thm(g, d, classes,
+                                       automorphism_generators(g)).holds,
+        "edge": is_edge_transitive_thm(g, d, classes).holds,
+        "arc": is_arc_transitive_thm(g, d, classes).holds,
     }
 
 

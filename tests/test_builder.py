@@ -12,7 +12,7 @@ from lobes.builder import (BuildSpecError, LobeRecord, BuildResult,
                            verify_interior, verify_local_transitivity,
                            with_depth)
 from lobes.graph import make_graph, serialize_graph
-from lobes.symmetry import canonical_certificate
+from lobes.symmetry import automorphism_generators, canonical_certificate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -326,18 +326,20 @@ def test_truncations_classify_consistently():
                  "kst_one_each.json", "petersen_unbalanced.json"):
         g = build_truncation(with_depth(load_spec(name), 1)).graph
         d = decompose(g)
-        tau = tau_table(g, d, lobe_classes(g, d))
+        classes = lobe_classes(g, d)
+        gens = automorphism_generators(g)
+        tau = tau_table(g, d, classes)
         oracle = classify_direct(g)
         assert is_vertex_transitive_thm(g, d, tau) == \
             (oracle.vertex_orbits == 1), name
-        assert is_lobe_transitive_thm(g, d).holds == \
+        assert is_lobe_transitive_thm(g, d, classes, gens).holds == \
             (oracle.lobe_orbits == 1), name
-        assert is_edge_transitive_thm(g, d).holds == \
+        assert is_edge_transitive_thm(g, d, classes).holds == \
             (oracle.edge_orbits == 1), name
-        assert is_arc_transitive_thm(g, d).holds == \
+        assert is_arc_transitive_thm(g, d, classes).holds == \
             (oracle.arc_orbits == 1), name
         if name == "degenerate_k4.json":
-            assert is_lobe_transitive_thm(g, d).holds
+            assert is_lobe_transitive_thm(g, d, classes, gens).holds
 
 
 def test_limit_reports_respect_the_implication_chain():

@@ -7,6 +7,7 @@ import pytest
 from lobes.catalog import named_graph
 from lobes.decomposition import decompose, lobe_classes
 from lobes.graph import make_graph
+from lobes.symmetry import automorphism_generators
 from lobes.transitivity import (ExtensionError, TransitivityError, classify,
                                 classify_direct, enumerate_k_arcs,
                                 extend_lobe_isomorphism,
@@ -72,15 +73,21 @@ def test_vertex_transitivity_thm_examples():
 
 def test_lobe_transitivity_examples():
     d = decompose(BOWTIE)
-    assert is_lobe_transitive_thm(BOWTIE, d).holds
+    assert is_lobe_transitive_thm(BOWTIE, d, lobe_classes(BOWTIE, d),
+                                  automorphism_generators(BOWTIE)).holds
 
     tri_pendant = make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    verdict = is_lobe_transitive_thm(tri_pendant, decompose(tri_pendant))
+    d = decompose(tri_pendant)
+    verdict = is_lobe_transitive_thm(tri_pendant, d,
+                                     lobe_classes(tri_pendant, d),
+                                     automorphism_generators(tri_pendant))
     assert not verdict.holds
     assert verdict.witness[0] == "nonisomorphic_lobes"
 
     star = named_graph("star", 3)
-    assert is_lobe_transitive_thm(star, decompose(star)).holds
+    d = decompose(star)
+    assert is_lobe_transitive_thm(star, d, lobe_classes(star, d),
+                                  automorphism_generators(star)).holds
 
 
 def test_lobe_transitivity_independent_of_base_lobe():
@@ -88,39 +95,47 @@ def test_lobe_transitivity_independent_of_base_lobe():
     for _ in range(12):
         g = random_connectivity_one_graph(rng, max_vertices=14)
         d = decompose(g)
-        verdicts = {is_lobe_transitive_thm(g, d, lobe0=i).holds
+        c = lobe_classes(g, d)
+        gens = automorphism_generators(g)
+        verdicts = {is_lobe_transitive_thm(g, d, c, gens, lobe0=i).holds
                     for i in range(d.lobe_count)}
         assert len(verdicts) == 1
 
 
 def test_edge_transitivity_examples():
     star = named_graph("star", 4)
-    verdict = is_edge_transitive_thm(star, decompose(star))
+    d = decompose(star)
+    verdict = is_edge_transitive_thm(star, d, lobe_classes(star, d))
     assert verdict.holds and verdict.case == "3c"
     assert verdict.constants == (4, 1)
 
     p3 = named_graph("path", 3)
-    verdict = is_edge_transitive_thm(p3, decompose(p3))
+    d = decompose(p3)
+    verdict = is_edge_transitive_thm(p3, d, lobe_classes(p3, d))
     assert verdict.holds and verdict.case == "3c"
 
-    assert not is_edge_transitive_thm(BOWTIE, decompose(BOWTIE)).holds
+    d = decompose(BOWTIE)
+    assert not is_edge_transitive_thm(BOWTIE, d, lobe_classes(BOWTIE, d)).holds
 
 
 def test_arc_transitivity_examples():
-    assert not is_arc_transitive_thm(BOWTIE, decompose(BOWTIE)).holds
+    d = decompose(BOWTIE)
+    assert not is_arc_transitive_thm(BOWTIE, d, lobe_classes(BOWTIE, d)).holds
     star = named_graph("star", 3)
-    assert not is_arc_transitive_thm(star, decompose(star)).holds
+    d = decompose(star)
+    assert not is_arc_transitive_thm(star, d, lobe_classes(star, d)).holds
 
 
 def test_checkers_reject_biconnected_input():
     k4 = named_graph("k4")
     d = decompose(k4)
+    c = lobe_classes(k4, d)
     with pytest.raises(TransitivityError):
-        is_lobe_transitive_thm(k4, d)
+        is_lobe_transitive_thm(k4, d, c, automorphism_generators(k4))
     with pytest.raises(TransitivityError):
-        is_edge_transitive_thm(k4, d)
+        is_edge_transitive_thm(k4, d, c)
     with pytest.raises(TransitivityError):
-        is_arc_transitive_thm(k4, d)
+        is_arc_transitive_thm(k4, d, c)
 
 
 def test_tree_edge_transitivity():
@@ -256,9 +271,11 @@ def test_theorems_match_oracle_on_random_graphs():
         d, c, tau = _prep(g)
         oracle = classify_direct(g)
         assert is_vertex_transitive_thm(g, d, tau) == (oracle.vertex_orbits == 1)
-        assert is_lobe_transitive_thm(g, d).holds == (oracle.lobe_orbits == 1)
-        assert is_edge_transitive_thm(g, d).holds == (oracle.edge_orbits == 1)
-        assert is_arc_transitive_thm(g, d).holds == (oracle.arc_orbits == 1)
+        gens = automorphism_generators(g)
+        assert is_lobe_transitive_thm(g, d, c, gens).holds == \
+            (oracle.lobe_orbits == 1)
+        assert is_edge_transitive_thm(g, d, c).holds == (oracle.edge_orbits == 1)
+        assert is_arc_transitive_thm(g, d, c).holds == (oracle.arc_orbits == 1)
 
 
 def test_small_oracle_against_brute_force():
