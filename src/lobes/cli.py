@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 negative answer (equiv/iso), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,8 +19,8 @@ from .builder import (ResourceCapError, build_truncation, classify_limit,
 from .catalog import CATALOG_NAMES, named_graph
 from .decomposition import decompose, lobe_classes
 from .graph import Graph, parse_graph, serialize_graph
-from .symmetry import (automorphism_generators, find_isomorphism, group_order,
-                       orbit_partition)
+from .symmetry import (GROUP_ORDER_DEGREE_BOUND, automorphism_generators,
+                       find_isomorphism, group_order, orbit_partition)
 from .transitivity import classify, k_arc_orbit_count
 
 EXIT_OK = 0
@@ -83,11 +84,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = _load_graph(args.graph)
+    # the degree of Aut(g) is the vertex count, known before the search
+    if g.vertex_count > GROUP_ORDER_DEGREE_BOUND:
+        raise ResourceCapError(
+            f"degree {g.vertex_count} exceeds the configured bound "
+            f"{GROUP_ORDER_DEGREE_BOUND}")
     gens = automorphism_generators(g)
-    try:
-        order = group_order(gens)
-    except ValueError as exc:  # the group-order degree bound
-        raise ResourceCapError(str(exc)) from exc
+    order = group_order(gens)
     vparts = orbit_partition(gens, "vertices")
     eparts = orbit_partition(gens, "edges", graph=g)
     aparts = orbit_partition(gens, "arcs", graph=g)
@@ -237,6 +240,7 @@ def _cmd_named(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once: each parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lobes",

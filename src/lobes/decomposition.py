@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph, is_connected
-from .symmetry import (automorphism_generators, canonical_certificate,
-                       find_isomorphism, orbit_partition)
+from .graph import Graph, induced_subgraph, is_connected, make_graph
+from .symmetry import (GeneratorSet, _run_engine, inverse_perm,
+                       orbit_partition)
 
 
 class DecompositionError(ValueError):
@@ -23,6 +23,18 @@ class Lobe:
     """One lobe: its sorted vertex tuple and sorted edge tuple."""
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+
+    def subgraph(self) -> tuple[Graph, tuple[int, ...]]:
+        """The lobe on local ids, as ``(sub, originals)``.
+
+        Equal to ``induced_subgraph(g, self.vertices)`` without scanning the
+        host's edges: a lobe is an induced subgraph, because a host edge
+        joining two of its vertices would keep it biconnected (or, for a cut
+        edge, is that edge), so maximality puts the edge in the lobe.
+        """
+        local = {v: x for x, v in enumerate(self.vertices)}
+        edges = [(local[u], local[v]) for u, v in self.edges]
+        return make_graph(len(self.vertices), edges), self.vertices
 
 
 @dataclass(frozen=True)
@@ -175,12 +187,15 @@ class LobeClasses:
     ``vertex_label[i][v]`` is the orbit label of vertex v inside lobe i,
     transported from the representative's automorphism orbits, so that every
     isomorphism between class members preserves labels.
+    ``rep_generators[k]`` generates Aut of class k's representative, in the
+    local ids of its ``Lobe.subgraph()``.
     """
     class_of: tuple[int, ...]
     class_reps: tuple[int, ...]
     sigma: tuple[tuple[int, ...], ...]
     vertex_label: tuple[dict, ...]
     label_counts: tuple[int, ...]
+    rep_generators: tuple[GeneratorSet, ...]
 
     @property
     def class_count(self) -> int:
@@ -188,54 +203,36 @@ class LobeClasses:
 
 
 def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
-    """Group lobes by isomorphism and install consistent orbit labels."""
-    subgraphs = []
-    for lobe in d.lobes:
-        sub, originals = induced_subgraph(g, lobe.vertices)
-        subgraphs.append((sub, originals))
-    by_cert: dict[bytes, int] = {}
-    class_of = []
+    """Group lobes by isomorphism and install consistent orbit labels, all
+    from one engine run per lobe."""
+    by_key: dict[tuple, int] = {}
+    class_of: list[int] = []
     reps: list[int] = []
-    for i, (sub, _) in enumerate(subgraphs):
-        cert = canonical_certificate(sub)
-        if cert not in by_cert:
-            by_cert[cert] = len(reps)
-            reps.append(i)
-        class_of.append(by_cert[cert])
-
-    # orbit labels on each representative, ordered by minimal original vertex
-    rep_orbit_cells: list[list[tuple[int, ...]]] = []
-    for rep in reps:
-        sub, originals = subgraphs[rep]
-        gens = automorphism_generators(sub)
-        cells = orbit_partition(gens, "vertices").cells
-        orig_cells = [tuple(originals[x] for x in cell) for cell in cells]
-        orig_cells.sort(key=lambda cell: cell[0])
-        rep_orbit_cells.append(orig_cells)
-
+    rep_labs: list[tuple[int, ...]] = []
+    rep_gens: list[GeneratorSet] = []
+    rep_cells: list[tuple[tuple[int, ...], ...]] = []
     sigma: list[tuple[int, ...]] = []
     vertex_label: list[dict] = []
-    for i, (sub, originals) in enumerate(subgraphs):
-        k = class_of[i]
-        rep = reps[k]
-        rep_sub, rep_originals = subgraphs[rep]
-        if i == rep:
-            mapping = tuple(range(sub.vertex_count))
-        else:
-            mapping = find_isomorphism(rep_sub, sub)
-            if mapping is None:  # certificates matched, so this cannot happen
-                raise RuntimeError("certificate collision between lobes")
-        sig = tuple(originals[mapping[x]] for x in range(len(rep_originals)))
+    for i, lobe in enumerate(d.lobes):
+        sub, originals = lobe.subgraph()
+        # a lobe has no isolated vertex, so the key fixes the vertex count
+        key, lab, gens, _ = _run_engine(sub)
+        k = by_key.setdefault(key, len(reps))
+        if k == len(reps):
+            reps.append(i)
+            rep_labs.append(lab)
+            rep_gens.append(GeneratorSet(sub.vertex_count, tuple(gens), "aut"))
+            # local order is original order, so cells sort by minimal vertex
+            rep_cells.append(orbit_partition(rep_gens[k], "vertices").cells)
+        class_of.append(k)
+        lab_inv = inverse_perm(lab)
+        sig = tuple(originals[lab_inv[x]] for x in rep_labs[k])
         sigma.append(sig)
-        rep_pos = {v: x for x, v in enumerate(rep_originals)}
-        labels = {}
-        for j, cell in enumerate(rep_orbit_cells[k]):
-            for rv in cell:
-                labels[sig[rep_pos[rv]]] = j
-        vertex_label.append(labels)
-    label_counts = tuple(len(cells) for cells in rep_orbit_cells)
+        vertex_label.append({sig[x]: j for j, cell in enumerate(rep_cells[k])
+                             for x in cell})
+    label_counts = tuple(len(cells) for cells in rep_cells)
     return LobeClasses(tuple(class_of), tuple(reps), tuple(sigma),
-                       tuple(vertex_label), label_counts)
+                       tuple(vertex_label), label_counts, tuple(rep_gens))
 
 
 @dataclass(frozen=True)

@@ -331,12 +331,6 @@ def canonical_certificate(g: Graph, colors=None) -> bytes:
     return head + body
 
 
-def canonical_labeling(g: Graph, colors=None) -> Perm:
-    """The relabeling that carries g onto its canonical form."""
-    _, lab, _, _ = _run_engine(g, colors)
-    return lab
-
-
 def find_isomorphism(g1: Graph, g2: Graph, colors1=None, colors2=None):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 

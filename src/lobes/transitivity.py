@@ -10,13 +10,15 @@ the automorphism group; the test suite enforces that both routes agree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
-from .graph import Graph, bipartition, induced_subgraph, is_connected
-from .symmetry import (GeneratorSet, _orbit_cells, automorphism_generators,
-                       find_isomorphism, lobe_stabilizer, orbit_partition)
+from .graph import Graph, bipartition, is_connected
+from .symmetry import (GeneratorSet, _lobe_action_table, _orbit_cells,
+                       automorphism_generators, canonical_certificate,
+                       find_isomorphism, orbit_partition)
 
 
 class TransitivityError(ValueError):
@@ -140,16 +142,23 @@ def _nonisomorphic_lobes(classes: LobeClasses, lobe0: int) -> Verdict | None:
     return None
 
 
-def _stabilizer_cells(g: Graph, gens_stab: GeneratorSet,
-                      vertices) -> list[tuple[int, ...]]:
-    """Orbit cells of a lobe stabilizer restricted to that lobe's vertices."""
-    part = orbit_partition(gens_stab, "vertices")
-    vset = set(vertices)
-    cells = [cell for cell in part.cells if cell[0] in vset]
-    for cell in cells:
-        if not vset.issuperset(cell):
-            raise RuntimeError("stabilizer does not leave the lobe invariant")
-    cells.sort(key=lambda cell: cell[0])
+def _stabilizer_cells(gens: GeneratorSet,
+                      d: LobeDecomposition) -> list[list[tuple[int, ...]]]:
+    """For every lobe i, the orbit cells of its stabilizer in Aut(g) on its
+    vertices, sorted by minimal vertex.
+
+    One orbit closure over the flags (i, v), v in lobe i: some automorphism
+    carries (i, u) to (i, v) exactly when one fixing lobe i carries u to v.
+    """
+    lobe_of = _lobe_action_table(gens, d)
+    flags = [(i, v) for i, lobe in enumerate(d.lobes) for v in lobe.vertices]
+    act = lambda p, flag: (lobe_of[p][flag[0]], p[flag[1]])
+    cells: list[list[tuple[int, ...]]] = [[] for _ in d.lobes]
+    for orbit in _orbit_cells(gens, flags, act, "flags"):
+        for i, group in itertools.groupby(orbit, key=lambda flag: flag[0]):
+            cells[i].append(tuple(v for _, v in group))
+    for lobe_cells in cells:
+        lobe_cells.sort()
     return cells
 
 
@@ -175,20 +184,23 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
     if failed is not None:
         return failed
 
-    subs = [induced_subgraph(g, lobe.vertices) for lobe in d.lobes]
     orb_ix = orbit_partition(gens, "vertices").cell_index()
-
-    stab0 = lobe_stabilizer(g, gens, d, lobe0)
-    q_cells = _stabilizer_cells(g, stab0, d.lobes[lobe0].vertices)
+    stab_cells = _stabilizer_cells(gens, d)
+    q_cells = stab_cells[lobe0]
     n_labels = len(q_cells)
-    phi = [orb_ix[cell[0]] for cell in q_cells]
+    labels_by_key: dict[tuple[int, int], list[int]] = {}
+    for j, cell in enumerate(q_cells):
+        labels_by_key.setdefault((len(cell), orb_ix[cell[0]]), []).append(j)
+    keys = sorted(labels_by_key)
+    key_sizes = [(key, len(labels_by_key[key])) for key in keys]
 
-    base_sub, base_orig = subs[lobe0]
+    base_sub, base_orig = d.lobes[lobe0].subgraph()
     base_colors = {}
     for j, cell in enumerate(q_cells):
         for v in cell:
             base_colors[v] = j
-    base_local_colors = [base_colors[v] for v in base_orig]
+    base_cert = canonical_certificate(
+        base_sub, [base_colors[v] for v in base_orig])
 
     # candidate labelings per lobe: vertex -> label maps
     candidates: list[list[dict[int, int]]] = []
@@ -196,25 +208,19 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
         if i == lobe0:
             candidates.append([dict(base_colors)])
             continue
-        stab_i = lobe_stabilizer(g, gens, d, i)
-        cells_i = _stabilizer_cells(g, stab_i, d.lobes[i].vertices)
+        cells_i = stab_cells[i]
         if len(cells_i) != n_labels:
             return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
-        labels_by_key: dict[tuple[int, int], list[int]] = {}
-        for j in range(n_labels):
-            labels_by_key.setdefault((len(q_cells[j]), phi[j]), []).append(j)
         cells_by_key: dict[tuple[int, int], list[int]] = {}
         for c, cell in enumerate(cells_i):
             cells_by_key.setdefault((len(cell), orb_ix[cell[0]]), []).append(c)
-        if sorted((k, len(v)) for k, v in labels_by_key.items()) != \
-                sorted((k, len(v)) for k, v in cells_by_key.items()):
+        if key_sizes != sorted((k, len(v)) for k, v in cells_by_key.items()):
             return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
-        sub_i, orig_i = subs[i]
+        sub_i, orig_i = d.lobes[i].subgraph()
         found: list[dict[int, int]] = []
-        keys = sorted(labels_by_key)
         pools = [list(itertools.permutations(cells_by_key[key]))
                  for key in keys]
-        if _product_size(pools) > 720:
+        if math.prod(len(pool) for pool in pools) > 720:
             raise RuntimeError("labeling search space too large")
         for combo in itertools.product(*pools):
             labeling: dict[int, int] = {}
@@ -222,22 +228,15 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
                 for j, c in zip(labels_by_key[key], perm):
                     for v in cells_i[c]:
                         labeling[v] = j
-            local_colors = [labeling[v] for v in orig_i]
-            if find_isomorphism(base_sub, sub_i,
-                                base_local_colors, local_colors) is not None:
+            # equal certificates: a color-preserving isomorphism exists
+            if canonical_certificate(
+                    sub_i, [labeling[v] for v in orig_i]) == base_cert:
                 found.append(labeling)
         if not found:
             return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
         candidates.append(found)
 
     return _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels)
-
-
-def _product_size(pools) -> int:
-    out = 1
-    for pool in pools:
-        out *= len(pool)
-    return out
 
 
 def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels) -> Verdict:
@@ -321,9 +320,10 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     failed = _nonisomorphic_lobes(classes, 0)
     if failed is not None:
         return failed
-    rep_sub, rep_orig = induced_subgraph(g, d.lobes[0].vertices)
-    rep_gens = automorphism_generators(rep_sub)
-    if orbit_partition(rep_gens, "edges", graph=rep_sub).cell_count != 1:
+    # lobe 0 is the representative of class 0
+    rep_sub, rep_orig = d.lobes[0].subgraph()
+    if orbit_partition(classes.rep_generators[0], "edges",
+                       graph=rep_sub).cell_count != 1:
         return Verdict(False, witness=("lobe_not_edge_transitive", 0))
     sides = bipartition(g)
     if sides is None:
@@ -332,11 +332,11 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     for s, side in enumerate(sides):
         for v in side:
             side_of[v] = s
-    rep_colors = [side_of[v] for v in rep_orig]
+    rep_cert = canonical_certificate(rep_sub, [side_of[v] for v in rep_orig])
     for i in range(1, d.lobe_count):
-        sub_i, orig_i = induced_subgraph(g, d.lobes[i].vertices)
-        colors_i = [side_of[v] for v in orig_i]
-        if find_isomorphism(rep_sub, sub_i, rep_colors, colors_i) is None:
+        sub_i, orig_i = d.lobes[i].subgraph()
+        if canonical_certificate(
+                sub_i, [side_of[v] for v in orig_i]) != rep_cert:
             return Verdict(False, witness=("side_alignment", (0, i)))
     m = []
     for s, side in enumerate(sides):
@@ -359,9 +359,9 @@ def is_arc_transitive_thm(g: Graph, d: LobeDecomposition,
     failed = _nonisomorphic_lobes(classes, 0)
     if failed is not None:
         return failed
-    rep_sub = induced_subgraph(g, d.lobes[0].vertices)[0]
-    rep_gens = automorphism_generators(rep_sub)
-    if orbit_partition(rep_gens, "arcs", graph=rep_sub).cell_count != 1:
+    rep_sub = d.lobes[0].subgraph()[0]
+    if orbit_partition(classes.rep_generators[0], "arcs",
+                       graph=rep_sub).cell_count != 1:
         return Verdict(False, witness=("lobe_not_arc_transitive", 0))
     counts = {len(d.lobes_at[v]) for v in range(g.vertex_count)}
     if len(counts) != 1:
@@ -484,7 +484,7 @@ def extend_lobe_isomorphism(g: Graph, d: LobeDecomposition, source_lobe: int,
                     f"membership counts diverge at vertex {v} (shell {r + 1})")
             for gkey in sorted(groups_s):
                 for ls, lt in zip(sorted(groups_s[gkey]), sorted(groups_t[gkey])):
-                    _glue_lobe_pair(g, d, mapping, ls, lt, v, w)
+                    _glue_lobe_pair(d, mapping, ls, lt, v, w)
                     mapped_s.add(ls)
                     mapped_t.add(lt)
     return mapping
@@ -508,9 +508,9 @@ def _validate_partial_iso(g, d, mapping, source_lobe, target_lobe) -> None:
         raise TransitivityError("iso does not map the root lobe onto the root lobe")
 
 
-def _glue_lobe_pair(g, d, mapping, ls, lt, v, w) -> None:
-    sub_s, orig_s = induced_subgraph(g, d.lobes[ls].vertices)
-    sub_t, orig_t = induced_subgraph(g, d.lobes[lt].vertices)
+def _glue_lobe_pair(d, mapping, ls, lt, v, w) -> None:
+    sub_s, orig_s = d.lobes[ls].subgraph()
+    sub_t, orig_t = d.lobes[lt].subgraph()
     colors_s = [1 if x == v else 0 for x in orig_s]
     colors_t = [1 if x == w else 0 for x in orig_t]
     piece = find_isomorphism(sub_s, sub_t, colors_s, colors_t)

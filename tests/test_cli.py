@@ -1,6 +1,5 @@
 """CLI subcommands, output formats, and exit codes."""
 
-import functools
 import json
 from pathlib import Path
 
@@ -8,7 +7,6 @@ from lobes import cli
 from lobes.cli import run_cli
 from lobes.graph import parse_graph, serialize_graph
 from lobes.catalog import named_graph
-from lobes.symmetry import group_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -158,10 +156,8 @@ def test_resource_cap_exit_code(capsys):
 
 
 def test_aut_over_degree_bound_exits_4(tmp_path, capsys, monkeypatch):
-    # group_order refuses a degree above its bound; a bound of 4 stands in
-    # for the default 4096, whose inputs take seconds to search
-    monkeypatch.setattr(cli, "group_order",
-                        functools.partial(group_order, degree_bound=4))
+    # a bound of 4 stands in for the default 4096, so the bowtie is over it
+    monkeypatch.setattr(cli, "GROUP_ORDER_DEGREE_BOUND", 4)
     assert run_cli(["aut", write_bowtie(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: degree 5 exceeds")

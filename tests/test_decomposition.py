@@ -4,14 +4,15 @@ import random
 
 import pytest
 
+from lobes import symmetry
 from lobes.catalog import named_graph
 from lobes.decomposition import (DecompositionError, connectivity_class,
                                  decompose, lobe_ball, lobe_classes,
                                  lobe_distances)
 from lobes.graph import induced_subgraph, make_graph
-from lobes.symmetry import find_isomorphism
+from lobes.symmetry import find_isomorphism, group_order, is_automorphism
 
-from brute import brute_is_cut_vertex
+from brute import brute_automorphisms, brute_is_cut_vertex
 from enumeration import random_connectivity_one_graph
 
 BOWTIE = make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -61,6 +62,9 @@ def test_random_graphs_satisfy_decomposition_invariants():
         # lobes partition the edges
         all_edges = [e for lobe in d.lobes for e in lobe.edges]
         assert sorted(all_edges) == list(g.edges)
+        # a lobe's own edges build its induced subgraph
+        for lobe in d.lobes:
+            assert lobe.subgraph() == induced_subgraph(g, lobe.vertices)
         # two lobes share at most one vertex
         for i in range(d.lobe_count):
             for j in range(i + 1, d.lobe_count):
@@ -146,6 +150,38 @@ def test_lobe_classes_mixed():
     g = make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     c = lobe_classes(g, decompose(g))
     assert c.class_count == 2
+
+
+def test_lobe_classes_runs_the_engine_once_per_lobe(monkeypatch):
+    runs = []
+    search = symmetry._Engine.run
+
+    def counted_search(engine):
+        runs.append(engine.n)
+        return search(engine)
+
+    monkeypatch.setattr(symmetry._Engine, "run", counted_search)
+    rng = random.Random(29)
+    for _ in range(10):
+        g = random_connectivity_one_graph(rng, max_vertices=18)
+        d = decompose(g)
+        runs.clear()
+        lobe_classes(g, d)
+        assert runs == [len(lobe.vertices) for lobe in d.lobes]
+
+
+def test_rep_generators_generate_the_representative_group():
+    rng = random.Random(61)
+    for _ in range(15):
+        g = random_connectivity_one_graph(rng, max_vertices=14)
+        d = decompose(g)
+        c = lobe_classes(g, d)
+        assert len(c.rep_generators) == c.class_count
+        for rep, gens in zip(c.class_reps, c.rep_generators):
+            sub = d.lobes[rep].subgraph()[0]
+            assert gens.degree == sub.vertex_count
+            assert all(is_automorphism(sub, p) for p in gens)
+            assert group_order(gens) == len(brute_automorphisms(sub))
 
 
 def test_sigma_maps_are_isomorphisms_with_consistent_labels():

@@ -1,14 +1,19 @@
 """Transitivity checkers, tau tables, k-arcs, and the extension procedure."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
 from lobes.decomposition import decompose, lobe_classes
 from lobes.graph import make_graph
-from lobes.symmetry import automorphism_generators
-from lobes.transitivity import (ExtensionError, TransitivityError, classify,
+from lobes.symmetry import (automorphism_generators, lobe_stabilizer,
+                            orbit_partition)
+from lobes.transitivity import (ExtensionError, TransitivityError,
+                                _stabilizer_cells, classify,
                                 classify_direct, enumerate_k_arcs,
                                 extend_lobe_isomorphism,
                                 is_arc_transitive_thm, is_edge_transitive_thm,
@@ -276,6 +281,24 @@ def test_theorems_match_oracle_on_random_graphs():
             (oracle.lobe_orbits == 1)
         assert is_edge_transitive_thm(g, d, c).holds == (oracle.edge_orbits == 1)
         assert is_arc_transitive_thm(g, d, c).holds == (oracle.arc_orbits == 1)
+
+
+def test_flag_closure_gives_every_lobe_stabilizer_orbit():
+    rng = random.Random(404)
+    graphs = [random_connectivity_one_graph(rng, max_vertices=16)
+              for _ in range(20)]
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        spec = validate_spec(json.loads(path.read_text()))
+        graphs.append(build_truncation(with_depth(spec, 1)).graph)
+    for g in graphs:
+        d = decompose(g)
+        gens = automorphism_generators(g)
+        cells = _stabilizer_cells(gens, d)
+        for i, lobe in enumerate(d.lobes):
+            stab = lobe_stabilizer(g, gens, d, i)
+            want = [cell for cell in orbit_partition(stab, "vertices").cells
+                    if not set(cell).isdisjoint(lobe.vertices)]
+            assert cells[i] == want
 
 
 def test_small_oracle_against_brute_force():
