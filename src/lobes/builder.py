@@ -27,7 +27,7 @@ class BuildSpecError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A truncation would exceed the configured vertex cap."""
+    """A truncation or a search would exceed a configured cap."""
 
 
 @dataclass(frozen=True)

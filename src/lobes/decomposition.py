@@ -7,6 +7,7 @@ minimal contained edge, so the decomposition is fully deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, induced_subgraph, is_connected, make_graph
@@ -279,9 +280,9 @@ def lobe_distances(d: LobeDecomposition, lobe_id: int) -> list[int]:
     """Distances from one lobe to all lobes in the lobe-adjacency graph."""
     dist = [-1] * d.lobe_count
     dist[lobe_id] = 0
-    queue = [lobe_id]
+    queue = deque([lobe_id])
     while queue:
-        lid = queue.pop(0)
+        lid = queue.popleft()
         for nb in d.lobe_neighbors(lid):
             if dist[nb] == -1:
                 dist[nb] = dist[lid] + 1

@@ -5,7 +5,10 @@ equitable one, backtracks over individualizations, and reports both a
 canonical labeling (minimum relabeled edge list over all leaves) and a
 generating set for the automorphism group (from leaf collisions).  Subtrees
 equivalent under already-discovered automorphisms are pruned, which changes
-neither the canonical form nor the group generated.
+neither the canonical form nor the group generated.  Cells are named by
+their first position and shared by a node's children until split, and each
+node inherits the known generators that fix its prefix pointwise: both only
+save work, so the nodes visited and the output stay the same.
 
 Everything here is a pure function of its inputs; all orders (cell order,
 branch order, orbit cell order) are fixed so output is deterministic.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import neg
 
 from .graph import Graph
 
@@ -107,61 +111,54 @@ class OrbitPartition:
 # ---------------------------------------------------------------------------
 
 class _Partition:
-    """Ordered partition with stable cell ids for cheap splitting.
+    """Ordered partition whose cells are named by their first position.
 
-    ``order`` lists cell ids in partition order; ``members[cid]`` the sorted
-    vertices of a cell; ``cell_of[v]`` the id of v's cell.  Splits replace
-    one id by fresh ids in place, so only the split cell's vertices are
-    touched.
+    ``members[s]`` is the sorted cell at positions s, s + 1, ... and
+    ``cell_of[v]`` the start s of v's cell, so sorted starts are partition
+    order (McKay & Piperno, "Practical graph isomorphism, II").  No cell
+    list is changed in place, so clones share them.
     """
 
-    __slots__ = ("order", "members", "cell_of", "next_id")
+    __slots__ = ("members", "cell_of")
 
     def __init__(self, cells: list[list[int]], n: int):
-        self.order = list(range(len(cells)))
-        self.members = {i: sorted(c) for i, c in enumerate(cells)}
+        self.members = {}
         self.cell_of = [0] * n
-        for i, c in enumerate(cells):
-            for v in c:
-                self.cell_of[v] = i
-        self.next_id = len(cells)
+        self.split(0, cells)
 
     def clone(self) -> "_Partition":
         out = _Partition.__new__(_Partition)
-        out.order = list(self.order)
-        out.members = {i: list(c) for i, c in self.members.items()}
+        out.members = dict(self.members)
         out.cell_of = list(self.cell_of)
-        out.next_id = self.next_id
         return out
 
-    def split(self, cid: int, fragments: list[list[int]]) -> list[int]:
-        """Replace a cell by ordered fragments; returns the fresh ids."""
-        ids = []
-        for frag in fragments:
-            fid = self.next_id
-            self.next_id += 1
-            self.members[fid] = frag
+    def split(self, start: int, fragments: list[list[int]]) -> None:
+        """Replace the cell at ``start`` by ordered sorted fragments."""
+        self.members[start] = fragments[0]
+        for frag in fragments[1:]:
+            start += len(self.members[start])
+            self.members[start] = frag
             for v in frag:
-                self.cell_of[v] = fid
-            ids.append(fid)
-        pos = self.order.index(cid)
-        self.order[pos:pos + 1] = ids
-        del self.members[cid]
-        return ids
+                self.cell_of[v] = start
 
 
 class _Engine:
-    """Shared search for canonical labeling and automorphism generators."""
+    """Shared search for canonical labeling and automorphism generators.
+
+    ``_node``'s ``fixers`` are the generators found so far that fix its
+    prefix pointwise, in discovery order: a child keeps those fixing its new
+    point, and a node adds newly found ones before testing a sibling.  That
+    is the prefix filter of all generators, so every pruning decision, and
+    with it the whole search and its output, is the same as filtering anew.
+    """
 
     def __init__(self, g: Graph, initial_cells: list[list[int]]):
         self.n = g.vertex_count
         self.adj = g.adjacency
         self.edges = g.edges
         self.initial_cells = [sorted(c) for c in initial_cells]
-        self.first_key = None
-        self.first_lab = None
-        self.best_key = None
-        self.best_lab = None
+        self.first_key = self.first_lab = None
+        self.best_key = self.best_lab = None
         self.gens: list[Perm] = []
         self._gen_seen: set[Perm] = set()
         self._cnt = [0] * self.n
@@ -171,8 +168,8 @@ class _Engine:
         if self.n == 0:
             return (), (), []
         part = _Partition(self.initial_cells, self.n)
-        self._refine(part, [list(c) for c in self.initial_cells])
-        self._node(part, ())
+        self._refine(part, self.initial_cells)
+        self._node(part, (), [])
         return self.best_key, self.best_lab, self.gens
 
     def _refine(self, part: _Partition, queue: list[list[int]]) -> None:
@@ -197,17 +194,12 @@ class _Engine:
                     if cnt[x] == 0:
                         touched.setdefault(cell_of[x], []).append(x)
                     cnt[x] += 1
-            if len(touched) > 1:
-                # partition-position order keeps the run label-independent
-                position = {cid: i for i, cid in enumerate(part.order)}
-                affected = sorted(touched, key=position.__getitem__)
-            else:
-                affected = list(touched)
-            for cid in affected:
-                cell = members[cid]
+            # partition order keeps the run label-independent
+            for start in sorted(touched):
+                cell = members[start]
                 if len(cell) == 1:
                     continue
-                hit = touched[cid]
+                hit = touched[start]
                 if len(hit) == len(cell) and len({cnt[v] for v in hit}) == 1:
                     continue
                 groups: dict[int, list[int]] = {}
@@ -215,17 +207,15 @@ class _Engine:
                     groups.setdefault(cnt[v], []).append(v)
                 if len(groups) > 1:
                     frags = [groups[key] for key in sorted(groups)]
-                    part.split(cid, frags)
-                    queue.extend(list(f) for f in frags)
+                    part.split(start, frags)
+                    queue.extend(frags)
             for hit in touched.values():
                 for v in hit:
                     cnt[v] = 0
 
     def _leaf(self, part: _Partition) -> None:
-        lab = [0] * self.n
-        for pos, cid in enumerate(part.order):
-            lab[part.members[cid][0]] = pos
-        lab = tuple(lab)
+        # in a discrete partition every vertex's cell start is its position
+        lab = tuple(part.cell_of)
         key = tuple(sorted(
             (lab[u], lab[v]) if lab[u] < lab[v] else (lab[v], lab[u])
             for u, v in self.edges))
@@ -251,35 +241,35 @@ class _Engine:
             self._gen_seen.add(g)
             self.gens.append(g)
 
-    def _node(self, part: _Partition, prefix: tuple[int, ...]) -> None:
-        target = -1
-        size = 0
-        for cid in part.order:
-            k = len(part.members[cid])
-            if k > size and k > 1:
-                target = cid
-                size = k
-        if target < 0:
+    def _node(self, part: _Partition, prefix: tuple[int, ...],
+              fixers: list[Perm]) -> None:
+        # the largest cell, the first in partition order among equals
+        minus_size, target = min(zip(map(neg, map(len, part.members.values())),
+                                     part.members))
+        if minus_size == -1:
             self._leaf(part)
             return
+        cell = part.members[target]
+        seen = len(self.gens)
         tried: list[int] = []
-        for v in part.members[target]:
-            if tried and self._in_discovered_orbit(v, tried, prefix):
+        for v in cell:
+            if len(self.gens) > seen:
+                fixers.extend(g for g in self.gens[seen:]
+                              if all(g[p] == p for p in prefix))
+                seen = len(self.gens)
+            if tried and self._in_discovered_orbit(v, tried, fixers):
                 continue
             tried.append(v)
             child = part.clone()
-            rest = [w for w in part.members[target] if w != v]
-            child.split(target, [[v], rest])
+            child.split(target, [[v], [w for w in cell if w != v]])
             self._refine(child, [[v]])
-            self._node(child, prefix + (v,))
+            self._node(child, prefix + (v,),
+                       [g for g in fixers if g[v] == v])
 
     def _in_discovered_orbit(self, v: int, tried: list[int],
-                             prefix: tuple[int, ...]) -> bool:
-        """Is v reachable from an already-tried sibling under known
+                             fixers: list[Perm]) -> bool:
+        """Is v reachable from an already-tried sibling under the known
         automorphisms that fix the individualized prefix pointwise?"""
-        fixers = [g for g in self.gens if all(g[p] == p for p in prefix)]
-        if not fixers:
-            return False
         orbit = set(tried)
         stack = list(tried)
         while stack:
@@ -457,9 +447,9 @@ def lobe_stabilizer(g: Graph, gens: GeneratorSet, decomposition,
     n = gens.degree
     ident = identity_perm(n)
     transversal: dict[int, Perm] = {lobe_id: ident}
-    queue = [lobe_id]
+    queue = deque([lobe_id])
     while queue:
-        lam = queue.pop(0)
+        lam = queue.popleft()
         for p in gens.generators:
             image = lobe_of[p][lam]
             if image not in transversal:
@@ -507,16 +497,19 @@ class _Chain:
     ``gens`` holds only the generators first registered at this level; the
     full generating set for the level's group is ``generators()``, which also
     pulls everything registered deeper (those fix this level's base point
-    prefix by construction).
+    prefix by construction).  ``inverse[x]`` is the inverse of
+    ``transversal[x]``; every level shares one identity tuple.
     """
 
-    __slots__ = ("degree", "basepoint", "gens", "transversal", "stab")
+    __slots__ = ("identity", "basepoint", "gens", "transversal", "inverse",
+                 "stab")
 
-    def __init__(self, degree: int):
-        self.degree = degree
+    def __init__(self, identity: Perm):
+        self.identity = identity
         self.basepoint: int | None = None
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {}
+        self.inverse: dict[int, Perm] = {}
         self.stab: _Chain | None = None
 
     def generators(self) -> list[Perm]:
@@ -535,15 +528,15 @@ class _Chain:
         x = p[self.basepoint]
         if x not in self.transversal:
             return p
-        return self.stab.sift(compose(inverse_perm(self.transversal[x]), p))
+        return self.stab.sift(compose(self.inverse[x], p))
 
     def add(self, p: Perm) -> None:
         p = self.sift(p)
-        if p == identity_perm(self.degree):
+        if p == self.identity:
             return
         if self.basepoint is None:
             self.basepoint = next(i for i, x in enumerate(p) if x != i)
-            self.stab = _Chain(self.degree)
+            self.stab = _Chain(self.identity)
         if p[self.basepoint] == self.basepoint:
             self.stab.add(p)
         else:
@@ -553,14 +546,16 @@ class _Chain:
 
     def _rebuild_orbit(self) -> None:
         gens = self.generators()
-        self.transversal = {self.basepoint: identity_perm(self.degree)}
-        queue = [self.basepoint]
+        self.transversal = {self.basepoint: self.identity}
+        self.inverse = {self.basepoint: self.identity}
+        queue = deque([self.basepoint])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for g in gens:
                 y = g[x]
                 if y not in self.transversal:
-                    self.transversal[y] = compose(g, self.transversal[x])
+                    self.transversal[y] = t = compose(g, self.transversal[x])
+                    self.inverse[y] = inverse_perm(t)
                     queue.append(y)
 
     def _close(self) -> None:
@@ -569,8 +564,8 @@ class _Chain:
         for x in sorted(self.transversal):
             t = self.transversal[x]
             for g in gens:
-                u = compose(inverse_perm(self.transversal[g[x]]), compose(g, t))
-                if u != identity_perm(self.degree):
+                u = compose(self.inverse[g[x]], compose(g, t))
+                if u != self.identity:
                     self.stab.add(u)
 
 
@@ -580,7 +575,7 @@ def group_order(gens: GeneratorSet,
     if gens.degree > degree_bound:
         raise ValueError(
             f"degree {gens.degree} exceeds the configured bound {degree_bound}")
-    chain = _Chain(gens.degree)
+    chain = _Chain(identity_perm(gens.degree))
     for p in gens.generators:
         chain.add(p)
     return chain.order()

@@ -13,12 +13,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .builder import ResourceCapError
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
 from .graph import Graph, bipartition, is_connected
-from .symmetry import (GeneratorSet, _lobe_action_table, _orbit_cells,
-                       automorphism_generators, canonical_certificate,
-                       find_isomorphism, orbit_partition)
+from .symmetry import (GeneratorSet, _orbit_cells, automorphism_generators,
+                       canonical_certificate, find_isomorphism,
+                       orbit_partition)
 
 
 class TransitivityError(ValueError):
@@ -142,23 +143,24 @@ def _nonisomorphic_lobes(classes: LobeClasses, lobe0: int) -> Verdict | None:
     return None
 
 
-def _stabilizer_cells(gens: GeneratorSet,
+def _stabilizer_cells(orb_ix: dict[int, int],
                       d: LobeDecomposition) -> list[list[tuple[int, ...]]]:
     """For every lobe i, the orbit cells of its stabilizer in Aut(g) on its
     vertices, sorted by minimal vertex.
 
-    One orbit closure over the flags (i, v), v in lobe i: some automorphism
-    carries (i, u) to (i, v) exactly when one fixing lobe i carries u to v.
+    ``orb_ix`` maps each vertex to its Aut(g) orbit.  The cells are the
+    Aut(g) orbits met by lobe i, cut down to it: an automorphism s carrying
+    u to v != u, both in lobe L, fixes L.  A non-cut u lies in L alone, so
+    v lies in s(L) alone.  Cut vertices u, v are equally far from the fixed
+    centre of the block-cut tree, so both paths from it end through L, and
+    s maps L, u's neighbour towards the centre, to v's, which is L.
     """
-    lobe_of = _lobe_action_table(gens, d)
-    flags = [(i, v) for i, lobe in enumerate(d.lobes) for v in lobe.vertices]
-    act = lambda p, flag: (lobe_of[p][flag[0]], p[flag[1]])
-    cells: list[list[tuple[int, ...]]] = [[] for _ in d.lobes]
-    for orbit in _orbit_cells(gens, flags, act, "flags"):
-        for i, group in itertools.groupby(orbit, key=lambda flag: flag[0]):
-            cells[i].append(tuple(v for _, v in group))
-    for lobe_cells in cells:
-        lobe_cells.sort()
+    cells = []
+    for lobe in d.lobes:
+        by_orbit: dict[int, list[int]] = {}
+        for v in lobe.vertices:  # ascending, so cells come by minimal vertex
+            by_orbit.setdefault(orb_ix[v], []).append(v)
+        cells.append([tuple(cell) for cell in by_orbit.values()])
     return cells
 
 
@@ -185,7 +187,7 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
         return failed
 
     orb_ix = orbit_partition(gens, "vertices").cell_index()
-    stab_cells = _stabilizer_cells(gens, d)
+    stab_cells = _stabilizer_cells(orb_ix, d)
     q_cells = stab_cells[lobe0]
     n_labels = len(q_cells)
     labels_by_key: dict[tuple[int, int], list[int]] = {}
@@ -221,7 +223,7 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
         pools = [list(itertools.permutations(cells_by_key[key]))
                  for key in keys]
         if math.prod(len(pool) for pool in pools) > 720:
-            raise RuntimeError("labeling search space too large")
+            raise ResourceCapError("labeling search space too large")
         for combo in itertools.product(*pools):
             labeling: dict[int, int] = {}
             for key, perm in zip(keys, combo):
@@ -264,7 +266,8 @@ def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels) -> Verdict:
         for labeling in candidates[lobe_id]:
             budget[0] -= 1
             if budget[0] < 0:
-                raise RuntimeError("lobe-transitivity search budget exceeded")
+                raise ResourceCapError(
+                    "lobe-transitivity search budget exceeded")
             touched = []
             finalized = []
             ok = True

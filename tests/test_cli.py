@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from lobes import cli
+from lobes import cli, transitivity
 from lobes.cli import run_cli
 from lobes.graph import parse_graph, serialize_graph
 from lobes.catalog import named_graph
@@ -161,6 +161,15 @@ def test_aut_over_degree_bound_exits_4(tmp_path, capsys, monkeypatch):
     assert run_cli(["aut", write_bowtie(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: degree 5 exceeds")
+    assert "Traceback" not in err
+
+
+def test_lobe_labeling_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # a budget of 0 stands in for a lobe-transitivity search too large to run
+    monkeypatch.setattr(transitivity, "_LABELING_NODE_BUDGET", 0)
+    assert run_cli(["classify", write_bowtie(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: lobe-transitivity search budget exceeded\n"
     assert "Traceback" not in err
 
 

@@ -5,8 +5,8 @@ This test hashes the exit code and stdout of ``classify --json``,
 ``decompose --json`` and ``karc -k 2 --json`` on every connected graph on at
 most 7 vertices and on each fixture's depth-1 truncation, and of
 ``limit --json`` on every fixture spec, and compares the digests with
-``golden_digests.json``.  ``aut`` is left out because its generators depend
-on the search engine's choices.
+``golden_digests.json``.  The output of ``aut`` and ``iso``, which depends
+on the search engine's choices, is pinned by ``test_golden_engine.py``.
 
 Run ``PYTHONPATH=src python tests/test_golden_output.py > tests/golden_digests.json``
 to regenerate the digests after an intended output change.

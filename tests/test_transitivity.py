@@ -293,7 +293,8 @@ def test_flag_closure_gives_every_lobe_stabilizer_orbit():
     for g in graphs:
         d = decompose(g)
         gens = automorphism_generators(g)
-        cells = _stabilizer_cells(gens, d)
+        cells = _stabilizer_cells(
+            orbit_partition(gens, "vertices").cell_index(), d)
         for i, lobe in enumerate(d.lobes):
             stab = lobe_stabilizer(g, gens, d, i)
             want = [cell for cell in orbit_partition(stab, "vertices").cells
