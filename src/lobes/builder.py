@@ -491,6 +491,8 @@ def spec_equivalent(s1: BuildSpec, s2: BuildSpec, compare_depth: int,
     """
     r1 = build_truncation(with_depth(s1, compare_depth), max_vertices)
     r2 = build_truncation(with_depth(s2, compare_depth), max_vertices)
+    if r1.graph == r2.graph:
+        return True
     return canonical_certificate(r1.graph) == canonical_certificate(r2.graph)
 
 
@@ -516,7 +518,7 @@ def verify_local_transitivity(result: BuildResult,
     trees: each lobe in a ball is certified with vertex colors packing the
     entry point and the codes of the subtrees hanging off each vertex.  Two
     rooted balls get equal codes exactly when they are isomorphic root lobe
-    to root lobe.
+    to root lobe.  Copies of Λ seen with equal colors share one certificate.
     """
     if radius > result.depth - 1:
         raise ValueError(
@@ -528,6 +530,7 @@ def verify_local_transitivity(result: BuildResult,
     for rec in result.lobes:
         for v in set(rec.sigma):
             lobes_at[v].append(rec.lobe_id)
+    certs: dict[tuple, bytes] = {}
 
     def code(lobe_id: int, entry: int | None, budget: int) -> bytes:
         rec = result.lobes[lobe_id]
@@ -539,12 +542,11 @@ def verify_local_transitivity(result: BuildResult,
                 for nb in lobes_at[v]:
                     if nb != lobe_id:
                         child.setdefault(v, []).append(code(nb, v, budget - 1))
-        colors = []
-        for local in range(lam.vertex_count):
-            v = rec.sigma[local]
-            colors.append((1 if v == entry else 0,
-                           tuple(sorted(child.get(v, [])))))
-        return canonical_certificate(lam, colors)
+        colors = tuple((1 if v == entry else 0, tuple(sorted(child.get(v, []))))
+                       for v in rec.sigma)
+        if colors not in certs:
+            certs[colors] = canonical_certificate(lam, colors)
+        return certs[colors]
 
     cutoff = result.depth - radius
     roots = [rec.lobe_id for rec in result.lobes if rec.depth <= cutoff]

@@ -33,9 +33,12 @@ class Lobe:
         joining two of its vertices would keep it biconnected (or, for a cut
         edge, is that edge), so maximality puts the edge in the lobe.
         """
+        return make_graph(len(self.vertices), self.local_edges()), self.vertices
+
+    def local_edges(self) -> tuple[tuple[int, int], ...]:
+        """``edges`` on local ids; the relabeling is monotone, so sorted."""
         local = {v: x for x, v in enumerate(self.vertices)}
-        edges = [(local[u], local[v]) for u, v in self.edges]
-        return make_graph(len(self.vertices), edges), self.vertices
+        return tuple((local[u], local[v]) for u, v in self.edges)
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,8 @@ class LobeClasses:
 
 def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
     """Group lobes by isomorphism and install consistent orbit labels, all
-    from one engine run per lobe."""
+    from one engine run per distinct lobe (equal local edge tuples)."""
+    runs: dict[tuple, tuple] = {}
     by_key: dict[tuple, int] = {}
     class_of: list[int] = []
     reps: list[int] = []
@@ -215,19 +219,21 @@ def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
     sigma: list[tuple[int, ...]] = []
     vertex_label: list[dict] = []
     for i, lobe in enumerate(d.lobes):
-        sub, originals = lobe.subgraph()
-        # a lobe has no isolated vertex, so the key fixes the vertex count
-        key, lab, gens, _ = _run_engine(sub)
+        # a lobe has no isolated vertex, so its edges fix the vertex count
+        edges = lobe.local_edges()
+        if edges not in runs:
+            runs[edges] = _run_engine(make_graph(len(lobe.vertices), edges))
+        key, lab, gens, _ = runs[edges]
         k = by_key.setdefault(key, len(reps))
         if k == len(reps):
             reps.append(i)
             rep_labs.append(lab)
-            rep_gens.append(GeneratorSet(sub.vertex_count, tuple(gens), "aut"))
+            rep_gens.append(GeneratorSet(len(lobe.vertices), tuple(gens), "aut"))
             # local order is original order, so cells sort by minimal vertex
             rep_cells.append(orbit_partition(rep_gens[k], "vertices").cells)
         class_of.append(k)
         lab_inv = inverse_perm(lab)
-        sig = tuple(originals[lab_inv[x]] for x in rep_labs[k])
+        sig = tuple(lobe.vertices[lab_inv[x]] for x in rep_labs[k])
         sigma.append(sig)
         vertex_label.append({sig[x]: j for j, cell in enumerate(rep_cells[k])
                              for x in cell})

@@ -113,10 +113,11 @@ class OrbitPartition:
 class _Partition:
     """Ordered partition whose cells are named by their first position.
 
-    ``members[s]`` is the sorted cell at positions s, s + 1, ... and
-    ``cell_of[v]`` the start s of v's cell, so sorted starts are partition
-    order (McKay & Piperno, "Practical graph isomorphism, II").  No cell
-    list is changed in place, so clones share them.
+    ``cell_of[v]`` is the start s of v's cell, the cell at positions s,
+    s + 1, ..., so sorted starts are partition order (McKay & Piperno,
+    "Practical graph isomorphism, II").  ``members[s]`` is that sorted
+    cell, kept for non-singleton cells only.  No cell list is changed in
+    place, so clones share them.
     """
 
     __slots__ = ("members", "cell_of")
@@ -134,10 +135,14 @@ class _Partition:
 
     def split(self, start: int, fragments: list[list[int]]) -> None:
         """Replace the cell at ``start`` by ordered sorted fragments."""
-        self.members[start] = fragments[0]
-        for frag in fragments[1:]:
-            start += len(self.members[start])
-            self.members[start] = frag
+        if len(fragments[0]) > 1:
+            self.members[start] = fragments[0]
+        else:
+            self.members.pop(start, None)
+        for prev, frag in zip(fragments, fragments[1:]):
+            start += len(prev)
+            if len(frag) > 1:
+                self.members[start] = frag
             for v in frag:
                 self.cell_of[v] = start
 
@@ -196,8 +201,8 @@ class _Engine:
                     cnt[x] += 1
             # partition order keeps the run label-independent
             for start in sorted(touched):
-                cell = members[start]
-                if len(cell) == 1:
+                cell = members.get(start)
+                if cell is None:
                     continue
                 hit = touched[start]
                 if len(hit) == len(cell) and len({cnt[v] for v in hit}) == 1:
@@ -243,12 +248,12 @@ class _Engine:
 
     def _node(self, part: _Partition, prefix: tuple[int, ...],
               fixers: list[Perm]) -> None:
-        # the largest cell, the first in partition order among equals
-        minus_size, target = min(zip(map(neg, map(len, part.members.values())),
-                                     part.members))
-        if minus_size == -1:
+        if not part.members:
             self._leaf(part)
             return
+        # the largest cell, the first in partition order among equals
+        _, target = min(zip(map(neg, map(len, part.members.values())),
+                            part.members))
         cell = part.members[target]
         seen = len(self.gens)
         tried: list[int] = []

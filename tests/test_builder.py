@@ -395,3 +395,88 @@ def test_local_transitivity_catches_nonuniform_attachment():
     report = verify_local_transitivity(result, 1)
     assert not report.ok
     assert report.witness == (0, 1)
+
+
+# witnesses at radius 2 and 1 once a depth-3 truncation loses its last lobe
+# record, as the code gave before certificates were shared between visits
+TRUNCATED_WITNESSES = {
+    "chord5cyc.json": ((0, 13), (0, 145)),
+    "clothesline_i.json": ((0, 2), (0, 4)),
+    "clothesline_ii.json": ((0, 2), (0, 4)),
+    "clothesline_iii.json": ((0, 2), (0, 4)),
+    "clothesline_iv.json": ((0, 2), (0, 4)),
+    "degenerate_k4.json": (None, None),
+    "k4_uniform.json": ((0, 4), (0, 16)),
+    "kst_equal_3a.json": ((0, 6), (0, 36)),
+    "kst_one_each.json": ((0, 5), (0, 25)),
+    "kst_two_images.json": ((0, 5), (0, 25)),
+    "petersen_balanced.json": ((0, 10), (0, 100)),
+    "petersen_unbalanced.json": ((0, 5), (0, 25)),
+}
+
+
+def test_local_transitivity_certifies_each_coloring_once(monkeypatch):
+    import lobes.builder as builder
+
+    calls = []
+
+    def counted(g, colors=None):
+        calls.append(colors)
+        return canonical_certificate(g, colors)
+
+    monkeypatch.setattr(builder, "canonical_certificate", counted)
+    chain = BuildResult(
+        graph=make_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
+                             (4, 5), (4, 6), (5, 6)]),
+        lambda0=make_graph(3, [(0, 1), (0, 2), (1, 2)]),
+        lobes=(LobeRecord(0, 0, (0, 1, 2)), LobeRecord(1, 1, (2, 3, 4)),
+               LobeRecord(2, 2, (4, 5, 6))),
+        vertex_depth=(0, 0, 0, 1, 1, 2, 2), depth=2)
+    cases = [(chain, 1, (0, 1))]
+    assert sorted(p.name for p in FIXTURES.glob("*.json")) == \
+        sorted(TRUNCATED_WITNESSES)
+    for name, (w2, w1) in TRUNCATED_WITNESSES.items():
+        result = build_truncation(with_depth(load_spec(name), 3))
+        cut = dataclasses.replace(result, lobes=result.lobes[:-1])
+        cases += [(result, 2, None), (result, 1, None), (cut, 2, w2),
+                  (cut, 1, w1)]
+    for result, radius, witness in cases:
+        calls.clear()
+        report = verify_local_transitivity(result, radius)
+        assert (report.ok, report.witness) == (witness is None, witness)
+        assert calls and len(calls) == len(set(calls))
+
+
+def test_spec_equivalent_shortcut_agrees_with_certificates(monkeypatch):
+    import lobes.builder as builder
+
+    certified = []
+    certs = {}
+
+    def cert(g, colors=None):
+        # the certificate is a pure function of the graph: compute it once
+        if g not in certs:
+            certs[g] = canonical_certificate(g)
+        return certs[g]
+
+    def counted(g, colors=None):
+        certified.append(g)
+        return cert(g)
+
+    monkeypatch.setattr(builder, "canonical_certificate", counted)
+    names = sorted(p.name for p in FIXTURES.glob("*.json"))
+    shortcuts = 0
+    for depth in (1, 2):
+        # petersen_balanced's depth-2 certificate alone takes about 8 s
+        pool = [n for n in names
+                if depth == 1 or n != "petersen_balanced.json"]
+        graphs = {n: build_truncation(with_depth(load_spec(n), depth)).graph
+                  for n in pool}
+        for a in pool:
+            for b in pool:
+                certified.clear()
+                same = spec_equivalent(load_spec(a), load_spec(b), depth)
+                assert same == (cert(graphs[a]) == cert(graphs[b])), (a, b)
+                assert (not certified) == (graphs[a] == graphs[b]), (a, b)
+                shortcuts += a != b and not certified
+    assert shortcuts >= 24  # the twelve clothesline pairs at both depths

@@ -1,19 +1,25 @@
 """Lobe decomposition, classes, and lobe balls."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from lobes import symmetry
+from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
 from lobes.decomposition import (DecompositionError, connectivity_class,
                                  decompose, lobe_ball, lobe_classes,
                                  lobe_distances)
 from lobes.graph import induced_subgraph, make_graph
-from lobes.symmetry import find_isomorphism, group_order, is_automorphism
+from lobes.symmetry import (automorphism_generators, find_isomorphism,
+                            group_order, is_automorphism, orbit_partition)
 
 from brute import brute_automorphisms, brute_is_cut_vertex
 from enumeration import random_connectivity_one_graph
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 BOWTIE = make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
@@ -152,22 +158,27 @@ def test_lobe_classes_mixed():
     assert c.class_count == 2
 
 
-def test_lobe_classes_runs_the_engine_once_per_lobe(monkeypatch):
+def test_lobe_classes_runs_the_engine_once_per_distinct_lobe(monkeypatch):
     runs = []
     search = symmetry._Engine.run
 
     def counted_search(engine):
-        runs.append(engine.n)
+        runs.append(engine.edges)
         return search(engine)
 
     monkeypatch.setattr(symmetry._Engine, "run", counted_search)
     rng = random.Random(29)
-    for _ in range(10):
-        g = random_connectivity_one_graph(rng, max_vertices=18)
+    graphs = [random_connectivity_one_graph(rng, max_vertices=18)
+              for _ in range(10)]
+    graphs += [named_graph("path", 6), BOWTIE]
+    for g in graphs:
         d = decompose(g)
         runs.clear()
         lobe_classes(g, d)
-        assert runs == [len(lobe.vertices) for lobe in d.lobes]
+        # one run per distinct local edge tuple, in first-seen order
+        assert runs == list(dict.fromkeys(l.local_edges() for l in d.lobes))
+    # the bowtie's two triangles share one run
+    assert runs == [((0, 1), (0, 2), (1, 2))]
 
 
 def test_rep_generators_generate_the_representative_group():
@@ -201,6 +212,41 @@ def test_sigma_maps_are_isomorphisms_with_consistent_labels():
             # orbit labels transport along sigma
             for x, rv in enumerate(rep_lobe.vertices):
                 assert c.vertex_label[i][sig[x]] == c.vertex_label[rep][rv]
+
+
+def test_lobe_classes_on_deep_truncations():
+    # grown truncations repeat a few lobe subgraphs many times over, so
+    # almost every lobe's sigma and labels come from a shared engine run
+    for path in sorted(FIXTURES.glob("*.json")):
+        with open(path) as fh:
+            spec = with_depth(validate_spec(json.load(fh)), 3)
+        g = build_truncation(spec).graph
+        d = decompose(g)
+        c = lobe_classes(g, d)
+        rep_cells = [orbit_partition(gens, "vertices").cell_index()
+                     for gens in c.rep_generators]
+        own_orbits = {}
+        for i, lobe in enumerate(d.lobes):
+            k = c.class_of[i]
+            rep_edges = d.lobes[c.class_reps[k]].local_edges()
+            sig = c.sigma[i]
+            assert sorted(sig) == list(lobe.vertices), path.name
+            assert sorted(tuple(sorted((sig[u], sig[v])))
+                          for u, v in rep_edges) == list(lobe.edges), path.name
+            assert c.vertex_label[i] == {sig[x]: j for x, j
+                                         in rep_cells[k].items()}, path.name
+            # the transported labels are lobe i's own orbits
+            edges = lobe.local_edges()
+            if edges not in own_orbits:
+                sub = lobe.subgraph()[0]
+                own_orbits[edges] = orbit_partition(
+                    automorphism_generators(sub), "vertices").cells
+            labelled: dict[int, set] = {}
+            for v, j in c.vertex_label[i].items():
+                labelled.setdefault(j, set()).add(v)
+            assert {frozenset(lobe.vertices[x] for x in cell)
+                    for cell in own_orbits[edges]} == \
+                {frozenset(cell) for cell in labelled.values()}, path.name
 
 
 def test_three_glued_chorded_cycles_form_one_class():
