@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .decomposition import connectivity_class
+from .decomposition import _lobe_tree_codes, connectivity_class
 from .graph import Graph, GraphError, bipartition, make_graph
 from .symmetry import (GeneratorSet, automorphism_generators,
                        canonical_certificate, generator_set, orbit_partition)
@@ -487,7 +487,9 @@ def spec_equivalent(s1: BuildSpec, s2: BuildSpec, compare_depth: int,
     """Do the two specs grow isomorphic truncations at the given depth?
 
     This is truncation-level evidence: a necessary condition for the limits
-    to coincide, checked at the tested depth only.
+    to coincide, checked at the tested depth only.  Equal truncations need
+    no certificate; at depth 1 or more the others have connectivity 1, so
+    ``canonical_certificate`` reads them off their block-cut trees.
     """
     r1 = build_truncation(with_depth(s1, compare_depth), max_vertices)
     r2 = build_truncation(with_depth(s2, compare_depth), max_vertices)
@@ -514,48 +516,25 @@ def verify_local_transitivity(result: BuildResult,
     """Check that all sufficiently interior lobes have isomorphic rooted
     lobe-balls of the given radius.
 
-    Balls are compared through canonical codes of their decorated block
-    trees: each lobe in a ball is certified with vertex colors packing the
-    entry point and the codes of the subtrees hanging off each vertex.  Two
-    rooted balls get equal codes exactly when they are isomorphic root lobe
-    to root lobe.  Copies of Λ seen with equal colors share one certificate.
+    Balls are compared by their rooted block-tree codes
+    (``decomposition._lobe_tree_codes``, each lobe given as Λ and its
+    ``sigma``), equal exactly for balls isomorphic root lobe to root lobe.
     """
     if radius > result.depth - 1:
         raise ValueError(
             f"radius {radius} too large for a depth-{result.depth} truncation")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    lam = result.lambda0
     lobes_at: list[list[int]] = [[] for _ in range(result.graph.vertex_count)]
     for rec in result.lobes:
         for v in set(rec.sigma):
             lobes_at[v].append(rec.lobe_id)
-    certs: dict[tuple, bytes] = {}
-
-    def code(lobe_id: int, entry: int | None, budget: int) -> bytes:
-        rec = result.lobes[lobe_id]
-        child: dict[int, list[bytes]] = {}
-        if budget > 0:
-            for v in rec.sigma:
-                if v == entry:
-                    continue
-                for nb in lobes_at[v]:
-                    if nb != lobe_id:
-                        child.setdefault(v, []).append(code(nb, v, budget - 1))
-        colors = tuple((1 if v == entry else 0, tuple(sorted(child.get(v, []))))
-                       for v in rec.sigma)
-        if colors not in certs:
-            certs[colors] = canonical_certificate(lam, colors)
-        return certs[colors]
-
-    cutoff = result.depth - radius
-    roots = [rec.lobe_id for rec in result.lobes if rec.depth <= cutoff]
-    codes = {}
-    reference = None
+    roots = [(rec.lobe_id, None, radius) for rec in result.lobes
+             if rec.depth <= result.depth - radius]
+    code, _ = _lobe_tree_codes([result.lambda0],
+                               [(0, rec.sigma) for rec in result.lobes],
+                               lobes_at, roots)
     for root in roots:
-        codes[root] = code(root, None, radius)
-        if reference is None:
-            reference = root
-        elif codes[root] != codes[reference]:
-            return LocalTransitivityReport(False, (reference, root))
+        if code[root] != code[roots[0]]:
+            return LocalTransitivityReport(False, (roots[0][0], root[0]))
     return LocalTransitivityReport(True, None)

@@ -11,8 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import Graph, induced_subgraph, is_connected, make_graph
-from .symmetry import (GeneratorSet, _run_engine, inverse_perm,
-                       orbit_partition)
+from .symmetry import (GeneratorSet, _engine_certificate, _run_engine,
+                       inverse_perm, orbit_partition)
 
 
 class DecompositionError(ValueError):
@@ -89,28 +89,8 @@ def connectivity_class(g: Graph) -> str:
         return "disconnected"
     if n == 2:
         return "single_K2"
-    if any(_is_cut_vertex(g, v) for v in range(n)):
-        return "connectivity_one"
-    return "biconnected"
-
-
-def _is_cut_vertex(g: Graph, v: int) -> bool:
-    """Does removing v disconnect g?  Assumes g connected with >= 3 vertices."""
-    n = g.vertex_count
-    start = 0 if v != 0 else 1
-    seen = [False] * n
-    seen[v] = True
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for y in g.adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count != n - 1
+    one_piece = len(_biconnected_edge_groups(g)) == 1
+    return "biconnected" if one_piece else "connectivity_one"
 
 
 def decompose(g: Graph) -> LobeDecomposition:
@@ -180,6 +160,96 @@ def _biconnected_edge_groups(g: Graph) -> list[list[tuple[int, int]]]:
                         break
                 groups.append(sorted(group))
     return groups
+
+
+def _lobe_tree_codes(shapes, lobes, lobes_at, roots, colors=None):
+    """Codes of rooted lobe trees, sorted subtree codes (Aho, Hopcroft &
+    Ullman 1974) over the block-cut tree (Colbourn & Booth 1981).
+
+    Lobe i is ``shapes[k]``, local id x being host vertex ``hosts[x]``, for
+    ``(k, hosts) = lobes[i]``.  Node ``(i, entry, budget)`` is lobe i
+    entered at ``entry`` (None at a root) with the lobes at its other
+    vertices hanging ``budget`` levels deep (None: all); the roots are
+    distinct and share one budget.  The engine certifies a node's lobe once
+    per distinct colouring of its vertices by (is it the entry, the
+    caller's colour, the sorted codes hanging there).  Codes number new
+    certificates level by level, bottom up, each level's in byte order.
+    Returns each node's code and the certificates in code order.  Codes are
+    equal exactly for isomorphic rooted trees; isomorphic inputs get the
+    same codes and certificates in any call.
+    """
+    kids: dict[tuple, list] = {}
+    levels = [roots]  # level j + 1: the children of level j
+    while levels[-1]:
+        below: dict[tuple, None] = {}
+        for node in levels[-1]:
+            lobe, entry, budget = node
+            step = None if budget is None else budget - 1
+            kids[node] = pairs = [] if budget == 0 else [
+                (x, (m, v, step)) for x, v in enumerate(lobes[lobe][1])
+                if v != entry for m in lobes_at[v] if m != lobe]
+            for _, c in pairs:
+                below[c] = None
+        levels.append(list(below))
+    certs: dict[tuple, bytes] = {}
+    ids: dict[bytes, int] = {}
+    code: dict[tuple, int] = {}
+    for level in reversed(levels):
+        certified = []
+        for node in level:
+            k, hosts = lobes[node[0]]
+            hang: dict[int, list[int]] = {}
+            for x, c in kids[node]:
+                hang.setdefault(x, []).append(code[c])
+            key = (k, tuple((v == node[1], colors and colors[v],
+                             tuple(sorted(hang[x])) if x in hang else ())
+                            for x, v in enumerate(hosts)))
+            cert = certs.get(key)
+            if cert is None:
+                cert = certs[key] = _engine_certificate(shapes[k], key[1])
+            certified.append(cert)
+        for cert in sorted({c for c in certified if c not in ids}):
+            ids[cert] = len(ids)
+        for node, cert in zip(level, certified):
+            code[node] = ids[cert]
+    return code, list(ids)
+
+
+def _lobe_tree_certificate(g: Graph, colors=None) -> bytes | None:
+    """``canonical_certificate`` of a connectivity-1 graph, None otherwise.
+
+    The tree is rooted at its centre, found by peeling leaves.  Leaves are
+    lobes (a cut vertex lies in two or more), so the centre is one node: a
+    lobe, or a cut vertex whose lobes are the roots.
+    """
+    if connectivity_class(g) != "connectivity_one":
+        return None
+    d = decompose(g)
+    # tree nodes: lobe i as i, cut vertex v as ~v
+    adj = {i: [~v for v in lobe.vertices if len(d.lobes_at[v]) > 1]
+           for i, lobe in enumerate(d.lobes)}
+    adj.update((~v, list(d.lobes_at[v])) for v in d.cut_vertices)
+    degree = {x: len(nbrs) for x, nbrs in adj.items()}
+    layer = [x for x, k in degree.items() if k == 1]
+    while len(layer) > 1:  # a tree of two or more nodes has two leaves
+        peeled = []
+        for x in layer:
+            for y in adj[x]:
+                degree[y] -= 1
+                if degree[y] == 1:
+                    peeled.append(y)
+        layer = peeled
+    centre = layer[0]
+    shape_of: dict[tuple, int] = {}
+    lobes = [(shape_of.setdefault(lobe.local_edges(), len(shape_of)),
+              lobe.vertices) for lobe in d.lobes]
+    shapes = [make_graph(max(max(e) for e in edges) + 1, edges)
+              for edges in shape_of]
+    roots = [(centre, None, None)] if centre >= 0 else \
+        [(i, ~centre, None) for i in d.lobes_at[~centre]]
+    code, table = _lobe_tree_codes(shapes, lobes, d.lobes_at, roots, colors)
+    return b"lobe tree;" + b"".join(b"%d:%s" % (len(c), c) for c in table) \
+        + repr(sorted(code[r] for r in roots)).encode()
 
 
 @dataclass(frozen=True)

@@ -256,37 +256,33 @@ class _Engine:
                             part.members))
         cell = part.members[target]
         seen = len(self.gens)
-        tried: list[int] = []
+        # the orbit of the tried siblings under fixers, closed from pending
+        orbit: set[int] = set()
+        pending: list[int] = []
         for v in cell:
             if len(self.gens) > seen:
-                fixers.extend(g for g in self.gens[seen:]
-                              if all(g[p] == p for p in prefix))
+                new = [g for g in self.gens[seen:]
+                       if all(g[p] == p for p in prefix)]
                 seen = len(self.gens)
-            if tried and self._in_discovered_orbit(v, tried, fixers):
+                if new:
+                    fixers.extend(new)
+                    pending = list(orbit)
+            while pending:
+                x = pending.pop()
+                for g in fixers:
+                    y = g[x]
+                    if y not in orbit:
+                        orbit.add(y)
+                        pending.append(y)
+            if v in orbit:
                 continue
-            tried.append(v)
+            orbit.add(v)
+            pending.append(v)
             child = part.clone()
             child.split(target, [[v], [w for w in cell if w != v]])
             self._refine(child, [[v]])
             self._node(child, prefix + (v,),
                        [g for g in fixers if g[v] == v])
-
-    def _in_discovered_orbit(self, v: int, tried: list[int],
-                             fixers: list[Perm]) -> bool:
-        """Is v reachable from an already-tried sibling under the known
-        automorphisms that fix the individualized prefix pointwise?"""
-        orbit = set(tried)
-        stack = list(tried)
-        while stack:
-            x = stack.pop()
-            for g in fixers:
-                y = g[x]
-                if y == v:
-                    return True
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        return False
 
 
 def _color_cells(n: int, colors) -> tuple[list[list[int]], tuple]:
@@ -318,8 +314,17 @@ def canonical_certificate(g: Graph, colors=None) -> bytes:
     """A byte string equal for isomorphic graphs and unequal otherwise.
 
     With ``colors``, equality means color-preserving isomorphism (for graphs
-    whose color signatures match).
+    whose color signatures match).  A connectivity-1 graph is certified from
+    its block-cut tree (``decomposition._lobe_tree_certificate``), any other
+    by the engine on the whole graph.  Tree certificates differ in bytes
+    from the engine's, but are equal exactly when the engine's are.
     """
+    from .decomposition import _lobe_tree_certificate  # imports this module
+    return _lobe_tree_certificate(g, colors) or _engine_certificate(g, colors)
+
+
+def _engine_certificate(g: Graph, colors=None) -> bytes:
+    """``canonical_certificate`` from the engine, whatever the input."""
     key, _, _, signature = _run_engine(g, colors)
     head = f"{g.vertex_count} {g.edge_count};{signature!r};".encode()
     body = b",".join(b"%d-%d" % e for e in key)
@@ -329,9 +334,15 @@ def canonical_certificate(g: Graph, colors=None) -> bytes:
 def find_isomorphism(g1: Graph, g2: Graph, colors1=None, colors2=None):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
-    With colors, only color-preserving isomorphisms are considered.
+    With colors, only color-preserving isomorphisms are considered.  When
+    either graph has connectivity 1, their block-cut tree certificates are
+    compared first and differing ones give None at once; the mapping itself
+    always comes from the engine.
     """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
+        return None
+    from .decomposition import _lobe_tree_certificate as tree  # see above
+    if tree(g1, colors1) != tree(g2, colors2):
         return None
     key1, lab1, _, sig1 = _run_engine(g1, colors1)
     key2, lab2, _, sig2 = _run_engine(g2, colors2)

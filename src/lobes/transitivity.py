@@ -17,8 +17,8 @@ from .builder import ResourceCapError
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
 from .graph import Graph, bipartition, is_connected
-from .symmetry import (GeneratorSet, _orbit_cells, automorphism_generators,
-                       canonical_certificate, find_isomorphism,
+from .symmetry import (GeneratorSet, _engine_certificate, _orbit_cells,
+                       automorphism_generators, find_isomorphism,
                        orbit_partition)
 
 
@@ -201,7 +201,7 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
     for j, cell in enumerate(q_cells):
         for v in cell:
             base_colors[v] = j
-    base_cert = canonical_certificate(
+    base_cert = _engine_certificate(
         base_sub, [base_colors[v] for v in base_orig])
 
     # candidate labelings per lobe: vertex -> label maps
@@ -231,7 +231,7 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
                     for v in cells_i[c]:
                         labeling[v] = j
             # equal certificates: a color-preserving isomorphism exists
-            if canonical_certificate(
+            if _engine_certificate(
                     sub_i, [labeling[v] for v in orig_i]) == base_cert:
                 found.append(labeling)
         if not found:
@@ -335,10 +335,10 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     for s, side in enumerate(sides):
         for v in side:
             side_of[v] = s
-    rep_cert = canonical_certificate(rep_sub, [side_of[v] for v in rep_orig])
+    rep_cert = _engine_certificate(rep_sub, [side_of[v] for v in rep_orig])
     for i in range(1, d.lobe_count):
         sub_i, orig_i = d.lobes[i].subgraph()
-        if canonical_certificate(
+        if _engine_certificate(
                 sub_i, [side_of[v] for v in orig_i]) != rep_cert:
             return Verdict(False, witness=("side_alignment", (0, i)))
     m = []

@@ -416,7 +416,7 @@ TRUNCATED_WITNESSES = {
 
 
 def test_local_transitivity_certifies_each_coloring_once(monkeypatch):
-    import lobes.builder as builder
+    import lobes.decomposition as decomposition
 
     calls = []
 
@@ -424,7 +424,7 @@ def test_local_transitivity_certifies_each_coloring_once(monkeypatch):
         calls.append(colors)
         return canonical_certificate(g, colors)
 
-    monkeypatch.setattr(builder, "canonical_certificate", counted)
+    monkeypatch.setattr(decomposition, "_engine_certificate", counted)
     chain = BuildResult(
         graph=make_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
                              (4, 5), (4, 6), (5, 6)]),
@@ -467,13 +467,10 @@ def test_spec_equivalent_shortcut_agrees_with_certificates(monkeypatch):
     names = sorted(p.name for p in FIXTURES.glob("*.json"))
     shortcuts = 0
     for depth in (1, 2):
-        # petersen_balanced's depth-2 certificate alone takes about 8 s
-        pool = [n for n in names
-                if depth == 1 or n != "petersen_balanced.json"]
         graphs = {n: build_truncation(with_depth(load_spec(n), depth)).graph
-                  for n in pool}
-        for a in pool:
-            for b in pool:
+                  for n in names}
+        for a in names:
+            for b in names:
                 certified.clear()
                 same = spec_equivalent(load_spec(a), load_spec(b), depth)
                 assert same == (cert(graphs[a]) == cert(graphs[b])), (a, b)

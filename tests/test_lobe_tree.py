@@ -1,0 +1,185 @@
+"""Block-cut tree certificates against the search engine.
+
+``canonical_certificate`` certifies a connectivity-1 graph from its block-cut
+tree, running the engine on its lobes only; ``_engine_certificate`` runs the
+engine on the whole graph.  Two inputs must get equal tree certificates
+exactly when they get equal engine certificates.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from lobes import symmetry
+from lobes.builder import build_truncation, validate_spec, with_depth
+from lobes.catalog import named_graph
+from lobes.decomposition import connectivity_class
+from lobes.graph import is_connected, make_graph, relabel_graph
+from lobes.symmetry import (_engine_certificate, canonical_certificate,
+                            find_isomorphism)
+
+from brute import brute_is_cut_vertex
+from enumeration import all_graphs_up_to, random_connectivity_one_graph
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+TAG = b"lobe tree;"
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    """Every graph on at most 7 vertices, up to isomorphism."""
+    return [g for graphs in all_graphs_up_to(7).values() for g in graphs]
+
+
+def _truncation(path: Path, depth: int):
+    spec = validate_spec(json.loads(path.read_text()))
+    return build_truncation(with_depth(spec, depth)).graph
+
+
+def _relabel(g, rng: random.Random, colors=None):
+    """A seeded relabeling of g, with the colors carried along."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    if colors is None:
+        return relabel_graph(g, perm), None
+    moved = [None] * g.vertex_count
+    for v, c in enumerate(colors):
+        moved[perm[v]] = c
+    return relabel_graph(g, perm), moved
+
+
+def _assert_same_classes(pairs) -> None:
+    """(tree, engine) certificate pairs: both certificates must split the
+    inputs into the same classes."""
+    pairs = set(pairs)
+    assert len({t for t, _ in pairs}) == len({e for _, e in pairs}) \
+        == len(pairs)
+
+
+def test_connectivity_class_matches_vertex_removal(small_graphs):
+    for g in small_graphs:
+        n = g.vertex_count
+        if n <= 1 or not is_connected(g):
+            want = "disconnected"
+        elif n == 2:
+            want = "single_K2"
+        elif any(brute_is_cut_vertex(g, v) for v in range(n)):
+            want = "connectivity_one"
+        else:
+            want = "biconnected"
+        assert connectivity_class(g) == want, g.edges
+
+
+def test_tree_certificates_match_engine_on_small_graphs(small_graphs):
+    rng = random.Random(456)
+    ones = [g for g in small_graphs
+            if connectivity_class(g) == "connectivity_one"]
+    assert len(ones) == 456
+    pairs = []
+    for g in ones:
+        h, _ = _relabel(g, rng)
+        cert = canonical_certificate(g)
+        assert cert.startswith(TAG)
+        assert canonical_certificate(h) == cert
+        pairs += [(cert, _engine_certificate(g)), (cert, _engine_certificate(h))]
+    _assert_same_classes(pairs)
+    assert len(set(pairs)) == 456
+
+
+def test_tree_certificates_match_engine_on_random_block_trees():
+    rng = random.Random(2024)
+    pairs = []
+    for _ in range(200):
+        g = random_connectivity_one_graph(rng, max_vertices=rng.randint(4, 30))
+        h, _ = _relabel(g, rng)
+        for x in (g, h):
+            pairs.append((canonical_certificate(x), _engine_certificate(x)))
+        assert pairs[-1][0] == pairs[-2][0]
+    _assert_same_classes(pairs)
+
+
+def test_tree_certificates_match_engine_on_fixture_truncations():
+    rng = random.Random(12)
+    pairs = []
+    for depth in (1, 2):
+        for path in FIXTURES:
+            g = _truncation(path, depth)
+            cert = canonical_certificate(g)
+            assert cert.startswith(TAG), (path.name, depth)
+            assert canonical_certificate(_relabel(g, rng)[0]) == cert
+            pairs.append((cert, _engine_certificate(g)))
+    _assert_same_classes(pairs)
+    # the four clothesline specs grow equal truncations
+    assert len(set(pairs)) < len(pairs)
+
+
+def test_colored_tree_certificates_match_engine():
+    rng = random.Random(99)
+    pairs = []
+    for _ in range(60):
+        g = random_connectivity_one_graph(rng, max_vertices=12)
+        for _ in range(4):
+            colors = [rng.randrange(2) for _ in range(g.vertex_count)]
+            h, moved = _relabel(g, rng, colors)
+            cert = canonical_certificate(g, colors)
+            assert cert.startswith(TAG)
+            assert canonical_certificate(h, moved) == cert
+            pairs += [(cert, _engine_certificate(g, colors)),
+                      (cert, _engine_certificate(h, moved))]
+            mapping = find_isomorphism(g, h, colors, moved)
+            assert mapping is not None
+            assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
+            assert all(moved[mapping[v]] == colors[v]
+                       for v in range(g.vertex_count))
+    _assert_same_classes(pairs)
+
+
+def test_certificates_of_large_truncations():
+    """Inputs the engine could not certify in a benchmark run."""
+    rng = random.Random(3)
+    by_name = {p.stem: p for p in FIXTURES}
+    certs = []
+    for name, depth in (("chord5cyc", 3), ("petersen_balanced", 2),
+                        ("petersen_balanced", 3), ("kst_one_each", 3)):
+        g = _truncation(by_name[name], depth)
+        cert = canonical_certificate(g)
+        assert cert.startswith(TAG)
+        assert canonical_certificate(_relabel(g, rng)[0]) == cert, name
+        certs.append(cert)
+    assert len(set(certs)) == len(certs)
+
+
+@pytest.mark.parametrize("name,size", [("star", 1500), ("path", 5000)])
+def test_certificates_of_deep_block_trees(name, size):
+    # these raised RecursionError while the engine certified whole graphs
+    g = named_graph(name, size)
+    cert = canonical_certificate(g)
+    assert cert.startswith(TAG)
+    assert canonical_certificate(_relabel(g, random.Random(size))[0]) == cert
+
+
+def test_find_isomorphism_rejects_by_tree_certificate(monkeypatch):
+    runs = []
+    real_run = symmetry._Engine.run
+
+    def counted(engine):
+        runs.append(engine.n)
+        return real_run(engine)
+
+    monkeypatch.setattr(symmetry._Engine, "run", counted)
+    chain = make_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
+                           (4, 5), (4, 6), (5, 6)])
+    windmill = make_graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4),
+                              (3, 4), (0, 5), (0, 6), (5, 6)])
+    paw = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    for g1, g2 in ((chain, windmill), (named_graph("path", 40),
+                                       named_graph("star", 39)),
+                   (named_graph("cycle", 4), paw), (paw, named_graph("cycle", 4))):
+        runs.clear()
+        assert find_isomorphism(g1, g2) is None
+        assert all(n < g1.vertex_count for n in runs)
+    runs.clear()
+    assert find_isomorphism(chain, chain) is not None
+    assert runs.count(7) == 2
