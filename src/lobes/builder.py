@@ -109,7 +109,7 @@ def validate_spec(doc: dict) -> BuildSpec:
             raise BuildSpecError('"h" must be "aut" or a list of permutations')
         try:
             h_gens = generator_set(h_doc, n0, "user", graph=lambda0)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise BuildSpecError(f"bad subgroup generator: {exc}") from exc
         h_source = "user"
 

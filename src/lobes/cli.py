@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 negative answer (equiv/iso), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -50,12 +51,21 @@ def _load_spec(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return validate_spec(doc)
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _output_file(path: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_json(doc) -> None:
@@ -163,9 +173,9 @@ def _cmd_build(args) -> int:
     text = serialize_graph(result.graph)
     sidecar = result.to_json_dict()
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
+        with _output_file(args.output) as fh:
             fh.write(text)
-        with open(args.output + ".json", "w", encoding="utf-8") as fh:
+        with _output_file(args.output + ".json") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if not args.json:
@@ -201,6 +211,9 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if args.depth < 0:
+        print(f"error: depth must be nonnegative, got {args.depth}", file=sys.stderr)
+        return EXIT_USAGE
     s1 = _load_spec(args.spec1)
     s2 = _load_spec(args.spec2)
     same = spec_equivalent(s1, s2, args.depth, max_vertices=args.max_vertices)
@@ -230,7 +243,7 @@ def _cmd_named(args) -> int:
         raise _InputError(str(exc)) from exc
     text = serialize_graph(g)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
+        with _output_file(args.output) as fh:
             fh.write(text)
         print(f"wrote {args.name} to {args.output}")
     elif args.json:

@@ -222,9 +222,11 @@ def _lobe_tree_certificate(g: Graph, colors=None) -> bytes | None:
     lobes (a cut vertex lies in two or more), so the centre is one node: a
     lobe, or a cut vertex whose lobes are the roots.
     """
-    if connectivity_class(g) != "connectivity_one":
+    if g.vertex_count < 3 or not is_connected(g):
         return None
     d = decompose(g)
+    if d.lobe_count < 2:
+        return None
     # tree nodes: lobe i as i, cut vertex v as ~v
     adj = {i: [~v for v in lobe.vertices if len(d.lobes_at[v]) > 1]
            for i, lobe in enumerate(d.lobes)}

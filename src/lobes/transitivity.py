@@ -9,11 +9,8 @@ the automorphism group; the test suite enforces that both routes agree.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
-from .builder import ResourceCapError
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
 from .graph import Graph, bipartition, is_connected
@@ -131,9 +128,6 @@ def is_vertex_transitive_thm(g: Graph, d: LobeDecomposition,
 # Lobe transitivity
 # ---------------------------------------------------------------------------
 
-_LABELING_NODE_BUDGET = 200000
-
-
 def _nonisomorphic_lobes(classes: LobeClasses, lobe0: int) -> Verdict | None:
     """The failing verdict when some lobe is not isomorphic to ``lobe0``."""
     k0 = classes.class_of[lobe0]
@@ -143,25 +137,15 @@ def _nonisomorphic_lobes(classes: LobeClasses, lobe0: int) -> Verdict | None:
     return None
 
 
-def _stabilizer_cells(orb_ix: dict[int, int],
-                      d: LobeDecomposition) -> list[list[tuple[int, ...]]]:
-    """For every lobe i, the orbit cells of its stabilizer in Aut(g) on its
-    vertices, sorted by minimal vertex.
-
-    ``orb_ix`` maps each vertex to its Aut(g) orbit.  The cells are the
-    Aut(g) orbits met by lobe i, cut down to it: an automorphism s carrying
-    u to v != u, both in lobe L, fixes L.  A non-cut u lies in L alone, so
-    v lies in s(L) alone.  Cut vertices u, v are equally far from the fixed
-    centre of the block-cut tree, so both paths from it end through L, and
-    s maps L, u's neighbour towards the centre, to v's, which is L.
-    """
-    cells = []
-    for lobe in d.lobes:
-        by_orbit: dict[int, list[int]] = {}
-        for v in lobe.vertices:  # ascending, so cells come by minimal vertex
-            by_orbit.setdefault(orb_ix[v], []).append(v)
-        cells.append([tuple(cell) for cell in by_orbit.values()])
-    return cells
+def _first_unlike_lobe(d: LobeDecomposition, colors, lobe0: int) -> int | None:
+    """The first lobe, in id order, that no isomorphism from ``lobe0``
+    keeping every vertex's ``colors[v]`` reaches; None if there is none."""
+    def cert(lobe):
+        sub, orig = lobe.subgraph()
+        return _engine_certificate(sub, [colors[v] for v in orig])
+    cert0 = cert(d.lobes[lobe0])
+    return next((i for i, lobe in enumerate(d.lobes)
+                 if i != lobe0 and cert(lobe) != cert0), None)
 
 
 def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
@@ -173,11 +157,24 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
     (``automorphism_generators(g)``); ``lobe0`` is the base lobe.
 
     Condition (1): a single lobe isomorphism class.  Condition (2): some
-    choice of reference isomorphisms makes every stabilizer-orbit counting
-    function constant on each vertex orbit, with positivity exactly on the
-    orbits carrying the images.  The choice is searched over the realizable
-    labelings of each lobe's stabilizer cells (almost always forced); the
-    orbit-alignment constraint prunes the search to triviality in practice.
+    choice of reference labelings makes every stabilizer-orbit counting
+    function constant on each Aut(g) vertex orbit.  (2) holds exactly when
+    every lobe has an isomorphism from ``lobe0`` keeping each vertex's
+    Aut(g) orbit; the first lobe without one is the witness.
+
+    - The stabilizer of a lobe L has as orbits on L the Aut(g) orbits met
+      by L, cut down to it: an automorphism s carrying u to v != u, both in
+      L, fixes L.  A non-cut u lies in L alone, so v lies in s(L) alone.
+      Cut vertices u, v are equally far from the fixed centre of the
+      block-cut tree, so both paths from it end through L, and s maps L,
+      u's neighbour towards the centre, to v's, which is L.  So a cell's
+      key (size, orbit) is unique in its lobe, and the only labeling of
+      L's cells by those of ``lobe0`` gives each vertex its orbit's label.
+    - Then v has one label j in every lobe at v, so its counting vector is
+      (lobes at v) times the j-th unit vector, constant on its orbit.
+    - Labels and orbits correspond one to one on both sides, so that
+      labeling is realised by an isomorphism exactly when the
+      orbit-coloured certificates of L and ``lobe0`` are equal.
     """
     _require_multi_lobe(g, d, "is_lobe_transitive_thm")
     if not (0 <= lobe0 < d.lobe_count):
@@ -185,121 +182,11 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
     failed = _nonisomorphic_lobes(classes, lobe0)
     if failed is not None:
         return failed
-
     orb_ix = orbit_partition(gens, "vertices").cell_index()
-    stab_cells = _stabilizer_cells(orb_ix, d)
-    q_cells = stab_cells[lobe0]
-    n_labels = len(q_cells)
-    labels_by_key: dict[tuple[int, int], list[int]] = {}
-    for j, cell in enumerate(q_cells):
-        labels_by_key.setdefault((len(cell), orb_ix[cell[0]]), []).append(j)
-    keys = sorted(labels_by_key)
-    key_sizes = [(key, len(labels_by_key[key])) for key in keys]
-
-    base_sub, base_orig = d.lobes[lobe0].subgraph()
-    base_colors = {}
-    for j, cell in enumerate(q_cells):
-        for v in cell:
-            base_colors[v] = j
-    base_cert = _engine_certificate(
-        base_sub, [base_colors[v] for v in base_orig])
-
-    # candidate labelings per lobe: vertex -> label maps
-    candidates: list[list[dict[int, int]]] = []
-    for i in range(d.lobe_count):
-        if i == lobe0:
-            candidates.append([dict(base_colors)])
-            continue
-        cells_i = stab_cells[i]
-        if len(cells_i) != n_labels:
-            return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
-        cells_by_key: dict[tuple[int, int], list[int]] = {}
-        for c, cell in enumerate(cells_i):
-            cells_by_key.setdefault((len(cell), orb_ix[cell[0]]), []).append(c)
-        if key_sizes != sorted((k, len(v)) for k, v in cells_by_key.items()):
-            return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
-        sub_i, orig_i = d.lobes[i].subgraph()
-        found: list[dict[int, int]] = []
-        pools = [list(itertools.permutations(cells_by_key[key]))
-                 for key in keys]
-        if math.prod(len(pool) for pool in pools) > 720:
-            raise ResourceCapError("labeling search space too large")
-        for combo in itertools.product(*pools):
-            labeling: dict[int, int] = {}
-            for key, perm in zip(keys, combo):
-                for j, c in zip(labels_by_key[key], perm):
-                    for v in cells_i[c]:
-                        labeling[v] = j
-            # equal certificates: a color-preserving isomorphism exists
-            if _engine_certificate(
-                    sub_i, [labeling[v] for v in orig_i]) == base_cert:
-                found.append(labeling)
-        if not found:
-            return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
-        candidates.append(found)
-
-    return _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels)
-
-
-def _search_labelings(g, d, lobe0, candidates, orb_ix, n_labels) -> Verdict:
-    """Backtracking assignment of one labeling per lobe, block-tree order."""
-    order = [lobe0]
-    seen = {lobe0}
-    qi = 0
-    while qi < len(order):
-        for nb in d.lobe_neighbors(order[qi]):
-            if nb not in seen:
-                seen.add(nb)
-                order.append(nb)
-        qi += 1
-
-    remaining = [len(d.lobes_at[v]) for v in range(g.vertex_count)]
-    acc = [[0] * n_labels for _ in range(g.vertex_count)]
-    ref: dict[int, tuple[int, ...]] = {}
-    budget = [_LABELING_NODE_BUDGET]
-    conflict: list = [None]
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        lobe_id = order[pos]
-        for labeling in candidates[lobe_id]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ResourceCapError(
-                    "lobe-transitivity search budget exceeded")
-            touched = []
-            finalized = []
-            ok = True
-            for v, j in labeling.items():
-                acc[v][j] += 1
-                remaining[v] -= 1
-                touched.append((v, j))
-                if remaining[v] == 0:
-                    vec = tuple(acc[v])
-                    o = orb_ix[v]
-                    if o in ref:
-                        if ref[o] != vec:
-                            jj = next(x for x in range(n_labels)
-                                      if ref[o][x] != vec[x])
-                            conflict[0] = ("tau_conflict", (o, jj, v))
-                            ok = False
-                            break
-                    else:
-                        ref[o] = vec
-                        finalized.append(o)
-            if ok and assign(pos + 1):
-                return True
-            for o in finalized:
-                del ref[o]
-            for v, j in touched:
-                acc[v][j] -= 1
-                remaining[v] += 1
-        return False
-
-    if assign(0):
-        return Verdict(True)
-    return Verdict(False, witness=conflict[0])
+    i = _first_unlike_lobe(d, orb_ix, lobe0)
+    if i is not None:
+        return Verdict(False, witness=("incompatible_lobe", (lobe0, i)))
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +211,7 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     if failed is not None:
         return failed
     # lobe 0 is the representative of class 0
-    rep_sub, rep_orig = d.lobes[0].subgraph()
+    rep_sub = d.lobes[0].subgraph()[0]
     if orbit_partition(classes.rep_generators[0], "edges",
                        graph=rep_sub).cell_count != 1:
         return Verdict(False, witness=("lobe_not_edge_transitive", 0))
@@ -335,12 +222,9 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     for s, side in enumerate(sides):
         for v in side:
             side_of[v] = s
-    rep_cert = _engine_certificate(rep_sub, [side_of[v] for v in rep_orig])
-    for i in range(1, d.lobe_count):
-        sub_i, orig_i = d.lobes[i].subgraph()
-        if _engine_certificate(
-                sub_i, [side_of[v] for v in orig_i]) != rep_cert:
-            return Verdict(False, witness=("side_alignment", (0, i)))
+    i = _first_unlike_lobe(d, side_of, 0)
+    if i is not None:
+        return Verdict(False, witness=("side_alignment", (0, i)))
     m = []
     for s, side in enumerate(sides):
         counts = {len(d.lobes_at[v]) for v in side}

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from lobes import cli, transitivity
+import pytest
+
+from lobes import cli
 from lobes.cli import run_cli
 from lobes.graph import parse_graph, serialize_graph
 from lobes.catalog import named_graph
@@ -164,12 +166,36 @@ def test_aut_over_degree_bound_exits_4(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_lobe_labeling_budget_exits_4(tmp_path, capsys, monkeypatch):
-    # a budget of 0 stands in for a lobe-transitivity search too large to run
-    monkeypatch.setattr(transitivity, "_LABELING_NODE_BUDGET", 0)
-    assert run_cli(["classify", write_bowtie(tmp_path)]) == 4
+def _spec_with_h(tmp_path, h):
+    doc = json.loads((FIXTURES / "k4_uniform.json").read_text())
+    doc["h"] = h
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _latin1_spec(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda t: ["equiv", str(FIXTURES / "k4_uniform.json"),
+                str(FIXTURES / "k4_uniform.json"), "-d", "-1"], 2),
+    (lambda t: ["limit", _latin1_spec(t)], 3),
+    (lambda t: ["limit", _spec_with_h(t, [["x", 1, 2, 3]])], 3),
+    (lambda t: ["limit", _spec_with_h(t, [5])], 3),
+    (lambda t: ["build", str(FIXTURES / "k4_uniform.json"),
+                "-o", str(t / "missing" / "out.g")], 3),
+    (lambda t: ["named", "petersen", "-o", str(t / "missing" / "p.g")], 3),
+], ids=["negative_depth", "spec_not_utf8", "h_entry_not_int",
+        "h_not_a_list_of_lists", "build_into_missing_dir",
+        "named_into_missing_dir"])
+def test_bad_input_exits_without_traceback(tmp_path, capsys, argv, code):
+    assert run_cli(argv(tmp_path)) == code
     err = capsys.readouterr().err
-    assert err == "error: lobe-transitivity search budget exceeded\n"
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
 
 
