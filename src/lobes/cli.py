@@ -4,7 +4,7 @@ Subcommands: decompose, aut, classify, karc, build, limit, equiv, iso, named.
 Human-readable text by default; ``--json`` switches to machine output.
 
 Exit codes: 0 success, 1 negative answer (equiv/iso), 2 usage error,
-3 input error, 4 resource cap exceeded.
+3 input error, 4 resource cap exceeded or search recursion too deep.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .builder import (ResourceCapError, build_truncation, classify_limit,
 from .catalog import CATALOG_NAMES, named_graph
 from .decomposition import decompose, lobe_classes
 from .graph import Graph, parse_graph, serialize_graph
-from .symmetry import (GROUP_ORDER_DEGREE_BOUND, automorphism_generators,
-                       find_isomorphism, group_order, orbit_partition)
+from .symmetry import (automorphism_generators, find_isomorphism, group_order,
+                       orbit_partition)
 from .transitivity import classify, k_arc_orbit_count
 
 EXIT_OK = 0
@@ -94,11 +94,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_aut(args) -> int:
     g = _load_graph(args.graph)
-    # the degree of Aut(g) is the vertex count, known before the search
-    if g.vertex_count > GROUP_ORDER_DEGREE_BOUND:
-        raise ResourceCapError(
-            f"degree {g.vertex_count} exceeds the configured bound "
-            f"{GROUP_ORDER_DEGREE_BOUND}")
     gens = automorphism_generators(g)
     order = group_order(gens)
     vparts = orbit_partition(gens, "vertices")
@@ -321,6 +316,11 @@ def run_cli(argv) -> int:
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except RecursionError:
+        # the search engine recurses once per level of its search tree
+        print("error: search recursion too deep for this input",
+              file=sys.stderr)
         return EXIT_CAP
 
 

@@ -295,12 +295,13 @@ def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
         edges = lobe.local_edges()
         if edges not in runs:
             runs[edges] = _run_engine(make_graph(len(lobe.vertices), edges))
-        key, lab, gens, _ = runs[edges]
+        key, lab, gens, _, order = runs[edges]
         k = by_key.setdefault(key, len(reps))
         if k == len(reps):
             reps.append(i)
             rep_labs.append(lab)
-            rep_gens.append(GeneratorSet(len(lobe.vertices), tuple(gens), "aut"))
+            rep_gens.append(GeneratorSet(len(lobe.vertices), tuple(gens),
+                                         "aut", order))
             # local order is original order, so cells sort by minimal vertex
             rep_cells.append(orbit_partition(rep_gens[k], "vertices").cells)
         class_of.append(k)

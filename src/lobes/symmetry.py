@@ -8,7 +8,9 @@ equivalent under already-discovered automorphisms are pruned, which changes
 neither the canonical form nor the group generated.  Cells are named by
 their first position and shared by a node's children until split, and each
 node inherits the known generators that fix its prefix pointwise: both only
-save work, so the nodes visited and the output stay the same.
+save work, so the nodes visited and the output stay the same.  The group
+order is read off the first path of the search tree (McKay, "Practical
+graph isomorphism", 1981), so an engine run also yields |Aut|.
 
 Everything here is a pure function of its inputs; all orders (cell order,
 branch order, orbit cell order) are fixed so output is deterministic.
@@ -17,7 +19,7 @@ branch order, orbit cell order) are fixed so output is deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import neg
 
 from .graph import Graph
@@ -59,11 +61,14 @@ class GeneratorSet:
 
     ``kind`` records what the set is meant to generate: the full automorphism
     group of a graph ("aut"), a lobe stabilizer ("stabilizer"), or a
-    user-supplied subgroup ("user").
+    user-supplied subgroup ("user").  ``order`` is the group order when the
+    search that found the generators recorded it, else None; it takes no
+    part in equality.
     """
     degree: int
     generators: tuple[Perm, ...]
     kind: str = "user"
+    order: int | None = field(default=None, compare=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -155,6 +160,15 @@ class _Engine:
     point, and a node adds newly found ones before testing a sibling.  That
     is the prefix filter of all generators, so every pruning decision, and
     with it the whole search and its output, is the same as filtering anew.
+
+    ``order`` is the product, over the nodes of the first path (those entered
+    before the first leaf), of the orbit of the node's first child under the
+    node's final ``fixers``.  Once a first-path node's subtree is done, its
+    fixers generate the pointwise stabilizer of its prefix: every child in
+    the first child's orbit was either pruned into a known orbit or reached
+    a leaf equal to the first one, whose automorphism maps it back.  The
+    first leaf is discrete and so has a trivial stabilizer, which makes the
+    product |Aut| by the orbit-stabilizer theorem (McKay 1981).
     """
 
     def __init__(self, g: Graph, initial_cells: list[list[int]]):
@@ -167,15 +181,17 @@ class _Engine:
         self.gens: list[Perm] = []
         self._gen_seen: set[Perm] = set()
         self._cnt = [0] * self.n
+        self.order = 1
 
-    def run(self) -> tuple[tuple, Perm, list[Perm]]:
-        """Returns (canonical edge tuple, canonical labeling, generators)."""
+    def run(self) -> tuple[tuple, Perm, list[Perm], int]:
+        """Returns (canonical edge tuple, canonical labeling, generators,
+        group order)."""
         if self.n == 0:
-            return (), (), []
+            return (), (), [], 1
         part = _Partition(self.initial_cells, self.n)
         self._refine(part, self.initial_cells)
         self._node(part, (), [])
-        return self.best_key, self.best_lab, self.gens
+        return self.best_key, self.best_lab, self.gens, self.order
 
     def _refine(self, part: _Partition, queue: list[list[int]]) -> None:
         """Refine in place to an equitable partition.
@@ -251,6 +267,7 @@ class _Engine:
         if not part.members:
             self._leaf(part)
             return
+        first_path = self.first_key is None
         # the largest cell, the first in partition order among equals
         _, target = min(zip(map(neg, map(len, part.members.values())),
                             part.members))
@@ -283,6 +300,24 @@ class _Engine:
             self._refine(child, [[v]])
             self._node(child, prefix + (v,),
                        [g for g in fixers if g[v] == v])
+        if first_path:
+            fixers.extend(g for g in self.gens[seen:]
+                          if all(g[p] == p for p in prefix))
+            self.order *= len(_closure(cell[0], fixers))
+
+
+def _closure(x: int, perms: list[Perm]) -> set[int]:
+    """The orbit of point x under the group the perms generate."""
+    orbit = {x}
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for p in perms:
+            z = p[y]
+            if z not in orbit:
+                orbit.add(z)
+                stack.append(z)
+    return orbit
 
 
 def _color_cells(n: int, colors) -> tuple[list[list[int]], tuple]:
@@ -298,16 +333,19 @@ def _color_cells(n: int, colors) -> tuple[list[list[int]], tuple]:
     return cells, signature
 
 
-def _run_engine(g: Graph, colors=None) -> tuple[tuple, Perm, list[Perm], tuple]:
+def _run_engine(g: Graph, colors=None) -> tuple[tuple, Perm, list[Perm],
+                                                 tuple, int]:
+    """(canonical edge tuple, labeling, generators, colour signature, order)."""
     cells, signature = _color_cells(g.vertex_count, colors)
-    key, lab, gens = _Engine(g, cells).run()
-    return key, lab, gens, signature
+    key, lab, gens, order = _Engine(g, cells).run()
+    return key, lab, gens, signature, order
 
 
 def automorphism_generators(g: Graph, colors=None) -> GeneratorSet:
-    """Generators of Aut(g) (color-preserving automorphisms when colors given)."""
-    _, _, gens, _ = _run_engine(g, colors)
-    return GeneratorSet(g.vertex_count, tuple(gens), "aut")
+    """Generators of Aut(g) (color-preserving automorphisms when colors given),
+    carrying the group order the search recorded."""
+    _, _, gens, _, order = _run_engine(g, colors)
+    return GeneratorSet(g.vertex_count, tuple(gens), "aut", order)
 
 
 def canonical_certificate(g: Graph, colors=None) -> bytes:
@@ -325,7 +363,7 @@ def canonical_certificate(g: Graph, colors=None) -> bytes:
 
 def _engine_certificate(g: Graph, colors=None) -> bytes:
     """``canonical_certificate`` from the engine, whatever the input."""
-    key, _, _, signature = _run_engine(g, colors)
+    key, _, _, signature, _ = _run_engine(g, colors)
     head = f"{g.vertex_count} {g.edge_count};{signature!r};".encode()
     body = b",".join(b"%d-%d" % e for e in key)
     return head + body
@@ -344,8 +382,8 @@ def find_isomorphism(g1: Graph, g2: Graph, colors1=None, colors2=None):
     from .decomposition import _lobe_tree_certificate as tree  # see above
     if tree(g1, colors1) != tree(g2, colors2):
         return None
-    key1, lab1, _, sig1 = _run_engine(g1, colors1)
-    key2, lab2, _, sig2 = _run_engine(g2, colors2)
+    key1, lab1, _, sig1, _ = _run_engine(g1, colors1)
+    key2, lab2, _, sig2, _ = _run_engine(g2, colors2)
     if key1 != key2 or sig1 != sig2:
         return None
     lab2_inv = inverse_perm(lab2)
@@ -504,7 +542,7 @@ def restrict_to(gens: GeneratorSet, vertices) -> GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
-# Group order via a stabilizer chain
+# Group order via a stabilizer chain, for sets the search did not produce
 # ---------------------------------------------------------------------------
 
 class _Chain:
@@ -587,7 +625,15 @@ class _Chain:
 
 def group_order(gens: GeneratorSet,
                 degree_bound: int = GROUP_ORDER_DEGREE_BOUND) -> int:
-    """Order of the generated group via a stabilizer chain."""
+    """Order of the generated group.
+
+    Sets from ``automorphism_generators`` and ``lobe_classes`` carry the
+    order their search recorded, which is returned as it is, whatever the
+    degree.  Others (``generator_set``, ``restrict_to``, ``lobe_stabilizer``)
+    get a Schreier-Sims chain, refused above ``degree_bound``.
+    """
+    if gens.order is not None:
+        return gens.order
     if gens.degree > degree_bound:
         raise ValueError(
             f"degree {gens.degree} exceeds the configured bound {degree_bound}")

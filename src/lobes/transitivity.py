@@ -69,11 +69,11 @@ class TauTable:
         return sum(self.values[key][v] for key in self.keys)
 
 
-def _require_multi_lobe(g: Graph, d: LobeDecomposition, op: str) -> None:
-    if connectivity_class(g) != "connectivity_one":
-        raise TransitivityError(f"{op} requires a connectivity-1 input")
+def _require_multi_lobe(d: LobeDecomposition, op: str) -> None:
+    # decompose refuses disconnected input, so two lobes mean connectivity 1
     if d.lobe_count < 2:
-        raise TransitivityError(f"{op} requires at least 2 lobes")
+        raise TransitivityError(
+            f"{op} requires a connectivity-1 input (at least 2 lobes)")
 
 
 def tau_table(g: Graph, d: LobeDecomposition, classes: LobeClasses) -> TauTable:
@@ -120,7 +120,7 @@ def _orbit_counts(g: Graph, gens: GeneratorSet,
 def is_vertex_transitive_thm(g: Graph, d: LobeDecomposition,
                              tau: TauTable) -> bool:
     """Vertex transitivity criterion: every counting function constant."""
-    _require_multi_lobe(g, d, "is_vertex_transitive_thm")
+    _require_multi_lobe(d, "is_vertex_transitive_thm")
     return all(tau.constant.values())
 
 
@@ -176,7 +176,7 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
       labeling is realised by an isomorphism exactly when the
       orbit-coloured certificates of L and ``lobe0`` are equal.
     """
-    _require_multi_lobe(g, d, "is_lobe_transitive_thm")
+    _require_multi_lobe(d, "is_lobe_transitive_thm")
     if not (0 <= lobe0 < d.lobe_count):
         raise TransitivityError(f"invalid base lobe id {lobe0}")
     failed = _nonisomorphic_lobes(classes, lobe0)
@@ -206,7 +206,7 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     lobes isomorphic to lobe 0 by side-preserving maps, and a constant
     number of lobes at the vertices of each side, at least 2 on one side.
     """
-    _require_multi_lobe(g, d, "is_edge_transitive_thm")
+    _require_multi_lobe(d, "is_edge_transitive_thm")
     failed = _nonisomorphic_lobes(classes, 0)
     if failed is not None:
         return failed
@@ -242,7 +242,7 @@ def is_arc_transitive_thm(g: Graph, d: LobeDecomposition,
                           classes: LobeClasses) -> Verdict:
     """Arc transitivity: arc-transitive isomorphic lobes and a uniform
     number of lobes at every vertex.  ``classes`` is ``lobe_classes(g, d)``."""
-    _require_multi_lobe(g, d, "is_arc_transitive_thm")
+    _require_multi_lobe(d, "is_arc_transitive_thm")
     failed = _nonisomorphic_lobes(classes, 0)
     if failed is not None:
         return failed

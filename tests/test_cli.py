@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from lobes import cli
 from lobes.cli import run_cli
 from lobes.graph import parse_graph, serialize_graph
 from lobes.catalog import named_graph
@@ -157,12 +156,24 @@ def test_resource_cap_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_aut_over_degree_bound_exits_4(tmp_path, capsys, monkeypatch):
-    # a bound of 4 stands in for the default 4096, so the bowtie is over it
-    monkeypatch.setattr(cli, "GROUP_ORDER_DEGREE_BOUND", 4)
-    assert run_cli(["aut", write_bowtie(tmp_path)]) == 4
+def test_aut_beyond_chain_degree_bound(tmp_path, capsys):
+    # 4100 vertices is over the 4096 bound of the stabilizer chain, which
+    # the search's recorded order does not need
+    path = tmp_path / "path.g"
+    path.write_text(serialize_graph(named_graph("path", 4100)))
+    assert run_cli(["aut", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["group_order"] == 2
+
+
+@pytest.mark.parametrize("command", ["aut", "iso", "classify"])
+def test_deep_search_exits_4_without_traceback(tmp_path, capsys, command):
+    # a star's leaves are individualized one search level at a time
+    path = tmp_path / "star.g"
+    path.write_text(serialize_graph(named_graph("star", 1500)))
+    argv = [command, str(path)] + ([str(path)] if command == "iso" else [])
+    assert run_cli(argv) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: degree 5 exceeds")
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
 
 

@@ -1,19 +1,24 @@
 """Symmetry kernels against the brute-force oracle."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
-from lobes.decomposition import decompose
+from lobes.decomposition import decompose, lobe_classes
 from lobes.graph import make_graph, relabel_graph
-from lobes.symmetry import (automorphism_generators, canonical_certificate,
+from lobes.symmetry import (GeneratorSet, automorphism_generators,
+                            canonical_certificate,
                             compose, find_isomorphism, generator_set,
                             group_order, inverse_perm, is_automorphism,
                             lobe_stabilizer, orbit_partition, restrict_to)
 
 from brute import backtracking_isomorphism, brute_automorphisms
+from enumeration import connected_graphs_up_to, random_connectivity_one_graph
 
 
 def _all_graphs(n):
@@ -269,3 +274,64 @@ def test_determinism():
     b = automorphism_generators(g)
     assert a == b
     assert canonical_certificate(g) == canonical_certificate(g)
+
+
+# ---------------------------------------------------------------------------
+# The order the search records against the stabilizer chain
+# ---------------------------------------------------------------------------
+
+def _chain_order(gens):
+    """The Schreier-Sims order of the same generators, with no recorded one."""
+    return group_order(generator_set(gens.generators, gens.degree))
+
+
+def test_recorded_order_on_all_small_connected_graphs():
+    for n, graphs in connected_graphs_up_to(7).items():
+        for g in graphs:
+            gens = automorphism_generators(g)
+            assert gens.order is not None
+            assert group_order(gens) == gens.order == _chain_order(gens), \
+                g.edges
+            if n <= 6:
+                assert gens.order == len(brute_automorphisms(g)), g.edges
+
+
+def test_recorded_order_on_random_block_trees():
+    rng = random.Random(2024)
+    for _ in range(300):
+        g = random_connectivity_one_graph(rng, max_vertices=24)
+        gens = automorphism_generators(g)
+        assert gens.order == _chain_order(gens), g.edges
+        colors = [rng.randrange(2) for _ in range(g.vertex_count)]
+        gens = automorphism_generators(g, colors)
+        assert gens.order == _chain_order(gens), (g.edges, colors)
+        for rep in lobe_classes(g, decompose(g)).rep_generators:
+            assert rep.order == _chain_order(rep)
+
+
+def test_recorded_order_on_fixture_truncations():
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+    assert len(fixtures) == 12
+    for path in fixtures:
+        spec = validate_spec(json.loads(path.read_text()))
+        g = build_truncation(with_depth(spec, 1)).graph
+        gens = automorphism_generators(g)
+        assert gens.order == _chain_order(gens), path.name
+
+
+def test_only_search_results_carry_an_order():
+    bowtie = make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    gens = automorphism_generators(bowtie)
+    assert gens.order == 8
+    assert gens == GeneratorSet(5, gens.generators, "aut")
+    d = decompose(bowtie)
+    stab = lobe_stabilizer(bowtie, gens, d, 0)
+    assert generator_set(gens.generators, 5).order is None
+    assert restrict_to(gens, range(5)).order is None
+    assert stab.order is None
+    assert restrict_to(stab, d.lobes[0].vertices).order is None
+
+
+def test_recorded_order_ignores_the_degree_bound():
+    gens = automorphism_generators(named_graph("path", 12))
+    assert group_order(gens, degree_bound=5) == 2
