@@ -337,19 +337,8 @@ def lobe_ball(g: Graph, d: LobeDecomposition, lobe_id: int, n: int) -> LobeBall:
         raise DecompositionError(f"invalid lobe id {lobe_id}")
     if n < 0:
         raise DecompositionError(f"radius must be nonnegative, got {n}")
-    included = {lobe_id}
-    frontier = [lobe_id]
-    for _ in range(n):
-        new = []
-        for lid in frontier:
-            for nb in d.lobe_neighbors(lid):
-                if nb not in included:
-                    included.add(nb)
-                    new.append(nb)
-        if not new:
-            break
-        frontier = new
-    lobe_ids = tuple(sorted(included))
+    lobe_ids = tuple(i for i, dist in enumerate(lobe_distances(d, lobe_id))
+                     if 0 <= dist <= n)
     vertices = sorted({v for lid in lobe_ids for v in d.lobes[lid].vertices})
     sub, originals = induced_subgraph(g, vertices)
     return LobeBall(sub, originals, lobe_ids)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import neg
+from operator import getitem, itemgetter, neg
 
 from .graph import Graph
 
@@ -275,7 +275,7 @@ class _Engine:
         seen = len(self.gens)
         # the orbit of the tried siblings under fixers, closed from pending
         orbit: set[int] = set()
-        pending: list[int] = []
+        pending = ()
         for v in cell:
             if len(self.gens) > seen:
                 new = [g for g in self.gens[seen:]
@@ -283,18 +283,14 @@ class _Engine:
                 seen = len(self.gens)
                 if new:
                     fixers.extend(new)
-                    pending = list(orbit)
-            while pending:
-                x = pending.pop()
-                for g in fixers:
-                    y = g[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        pending.append(y)
+                    pending = orbit
+            if pending:
+                orbit |= _closure(pending, fixers)
+                pending = ()
             if v in orbit:
                 continue
             orbit.add(v)
-            pending.append(v)
+            pending = (v,)
             child = part.clone()
             child.split(target, [[v], [w for w in cell if w != v]])
             self._refine(child, [[v]])
@@ -303,20 +299,21 @@ class _Engine:
         if first_path:
             fixers.extend(g for g in self.gens[seen:]
                           if all(g[p] == p for p in prefix))
-            self.order *= len(_closure(cell[0], fixers))
+            self.order *= len(_closure((cell[0],), fixers))
 
 
-def _closure(x: int, perms: list[Perm]) -> set[int]:
-    """The orbit of point x under the group the perms generate."""
-    orbit = {x}
-    stack = [x]
+def _closure(points, tables) -> set[int]:
+    """The closure of a set of points under actions given as image tables:
+    ``t[x]`` is the image of point x under table t."""
+    orbit = set(points)
+    stack = list(orbit)
     while stack:
-        y = stack.pop()
-        for p in perms:
-            z = p[y]
-            if z not in orbit:
-                orbit.add(z)
-                stack.append(z)
+        x = stack.pop()
+        for t in tables:
+            y = t[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
     return orbit
 
 
@@ -399,6 +396,23 @@ def _edge_image(p: Perm, e: tuple[int, int]) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _walk_image(p: Perm, walk: tuple[int, ...]) -> tuple[int, ...]:
+    return itemgetter(*walk)(p)  # a tuple, since a walk has >= 2 vertices
+
+
+def _image_tables(gens: GeneratorSet, elements, image,
+                  error: str) -> list[list[int]]:
+    """Each generator as an image table over element positions, where
+    ``image(p, x)`` is the image of x under p; ValueError(error) when an
+    image is not an element."""
+    index = {x: i for i, x in enumerate(elements)}
+    try:
+        return [[index[image(p, x)] for x in elements]
+                for p in gens.generators]
+    except KeyError:
+        raise ValueError(error) from None
+
+
 def orbit_partition(gens: GeneratorSet, domain: str, *,
                     graph: Graph | None = None,
                     decomposition=None) -> OrbitPartition:
@@ -407,84 +421,88 @@ def orbit_partition(gens: GeneratorSet, domain: str, *,
     ``graph`` is required for edges/arcs, ``decomposition`` for lobes.
     Raises ValueError when a generator does not act on the domain.
     """
+    error = f"generator does not act on the {domain} domain"
     if domain == "vertices":
         elements: list = list(range(gens.degree))
-        act = lambda p, v: p[v]
-    elif domain == "edges":
+        tables = gens.generators
+    elif domain in ("edges", "arcs"):
         if graph is None:
-            raise ValueError("edge orbits need the graph as context")
-        _check_degree(gens, graph)
+            raise ValueError(f"{domain[:-1]} orbits need the graph as context")
+        _check_degree(gens, graph.vertex_count)
         elements = list(graph.edges)
-        act = _edge_image
-    elif domain == "arcs":
-        if graph is None:
-            raise ValueError("arc orbits need the graph as context")
-        _check_degree(gens, graph)
-        elements = sorted([(u, v) for u, v in graph.edges]
-                          + [(v, u) for u, v in graph.edges])
-        act = lambda p, a: (p[a[0]], p[a[1]])
+        image = _edge_image
+        if domain == "arcs":
+            elements = sorted(elements + [(v, u) for u, v in elements])
+            image = _walk_image
+        tables = _image_tables(gens, elements, image, error)
     elif domain == "lobes":
         if decomposition is None:
             raise ValueError("lobe orbits need the decomposition as context")
-        lobe_of = _lobe_action_table(gens, decomposition)
+        _check_degree(gens, len(decomposition.lobes_at))
         elements = list(range(len(decomposition.lobes)))
-        act = lambda p, lobe_id: lobe_of[p][lobe_id]
+        tables = _lobe_tables(gens, decomposition)
     else:
         raise ValueError(f"unknown domain {domain!r}")
     return OrbitPartition(domain, tuple(elements),
-                          _orbit_cells(gens, elements, act, domain))
+                          _orbit_cells(elements, tables))
 
 
-def _orbit_cells(gens: GeneratorSet, elements: list, act,
-                 domain: str) -> tuple[tuple, ...]:
-    """Orbit cells of the generated group on ``elements`` under
-    ``act(p, x)``, each sorted, in the order of their first element."""
-    index = {x: i for i, x in enumerate(elements)}
-    cell_of = [-1] * len(elements)
+def _orbit_cells(elements: list, tables) -> tuple[tuple, ...]:
+    """Orbit cells on ``elements`` under image tables over their positions,
+    each sorted, in the order of their first element."""
+    seen: set[int] = set()
     cells = []
-    for start in elements:
-        if cell_of[index[start]] != -1:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for p in gens.generators:
-                y = act(p, x)
-                if y not in index:
-                    raise ValueError(
-                        f"generator does not act on the {domain} domain")
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        cell = tuple(sorted(orbit))
-        for x in cell:
-            cell_of[index[x]] = len(cells)
-        cells.append(cell)
+    for start in range(len(elements)):
+        if start not in seen:
+            orbit = _closure((start,), tables)
+            seen |= orbit
+            cells.append(tuple(sorted(elements[i] for i in orbit)))
     return tuple(cells)
 
 
-def _check_degree(gens: GeneratorSet, graph: Graph) -> None:
-    if gens.degree != graph.vertex_count:
+def _check_degree(gens: GeneratorSet, vertex_count: int) -> None:
+    if gens.degree != vertex_count:
         raise ValueError(
             f"generator degree {gens.degree} does not match graph on "
-            f"{graph.vertex_count} vertices")
+            f"{vertex_count} vertices")
 
 
-def _lobe_action_table(gens: GeneratorSet, decomposition) -> dict[Perm, list[int]]:
+def _lobe_tables(gens: GeneratorSet, decomposition) -> list[list[int]]:
     """For each generator, the induced permutation of lobe ids."""
-    edge_key = {frozenset(lobe.edges): i
-                for i, lobe in enumerate(decomposition.lobes)}
-    table = {}
-    for p in gens.generators:
-        images = []
-        for lobe in decomposition.lobes:
-            mapped = frozenset(_edge_image(p, e) for e in lobe.edges)
-            if mapped not in edge_key:
-                raise ValueError("generator does not permute the lobes")
-            images.append(edge_key[mapped])
-        table[p] = images
-    return table
+    return _image_tables(
+        gens, [frozenset(lobe.edges) for lobe in decomposition.lobes],
+        lambda p, edges: frozenset(_edge_image(p, e) for e in edges),
+        "generator does not permute the lobes")
+
+
+def _transversal(base: int, actions,
+                 identity: Perm) -> tuple[dict[int, Perm], dict[int, Perm]]:
+    """A Schreier transversal of the orbit of ``base``, found breadth-first,
+    and its inverses.  ``actions`` pairs each perm p with the table t by
+    which it acts on the points; ``transversal[x]`` maps base to x."""
+    transversal = {base: identity}
+    queue = deque([base])
+    while queue:
+        x = queue.popleft()
+        for p, t in actions:
+            y = t[x]
+            if y not in transversal:
+                transversal[y] = compose(p, transversal[x])
+                queue.append(y)
+    return transversal, {x: inverse_perm(t) for x, t in transversal.items()}
+
+
+def _schreier_generators(transversal: dict[int, Perm],
+                         inverse: dict[int, Perm], actions, identity: Perm):
+    """Schreier's lemma: the non-identity elements
+    inverse[t[x]] * p * transversal[x], over the points x in sorted order
+    and the actions (p, t) in order, generate the stabilizer of the base."""
+    for x in sorted(transversal):
+        t_x = transversal[x]
+        for p, t in actions:
+            u = compose(inverse[t[x]], compose(p, t_x))
+            if u != identity:
+                yield u
 
 
 def lobe_stabilizer(g: Graph, gens: GeneratorSet, decomposition,
@@ -496,30 +514,13 @@ def lobe_stabilizer(g: Graph, gens: GeneratorSet, decomposition,
     """
     if not (0 <= lobe_id < len(decomposition.lobes)):
         raise ValueError(f"invalid lobe id {lobe_id}")
-    _check_degree(gens, g)
-    lobe_of = _lobe_action_table(gens, decomposition)
-    n = gens.degree
-    ident = identity_perm(n)
-    transversal: dict[int, Perm] = {lobe_id: ident}
-    queue = deque([lobe_id])
-    while queue:
-        lam = queue.popleft()
-        for p in gens.generators:
-            image = lobe_of[p][lam]
-            if image not in transversal:
-                transversal[image] = compose(p, transversal[lam])
-                queue.append(image)
-    out: list[Perm] = []
-    seen: set[Perm] = set()
-    for lam in sorted(transversal):
-        t = transversal[lam]
-        for p in gens.generators:
-            image = lobe_of[p][lam]
-            u = compose(inverse_perm(transversal[image]), compose(p, t))
-            if u != ident and u not in seen:
-                seen.add(u)
-                out.append(u)
-    return GeneratorSet(n, tuple(out), "stabilizer")
+    _check_degree(gens, g.vertex_count)
+    actions = list(zip(gens, _lobe_tables(gens, decomposition)))
+    ident = identity_perm(gens.degree)
+    transversal, inverse = _transversal(lobe_id, actions, ident)
+    out = dict.fromkeys(
+        _schreier_generators(transversal, inverse, actions, ident))
+    return GeneratorSet(gens.degree, tuple(out), "stabilizer")
 
 
 def restrict_to(gens: GeneratorSet, vertices) -> GeneratorSet:
@@ -528,17 +529,11 @@ def restrict_to(gens: GeneratorSet, vertices) -> GeneratorSet:
     ``vertices`` must be closed under every generator.
     """
     ordered = sorted(set(vertices))
-    local = {v: i for i, v in enumerate(ordered)}
-    perms = []
-    for p in gens.generators:
-        images = [0] * len(ordered)
-        for v in ordered:
-            w = p[v]
-            if w not in local:
-                raise ValueError("vertex set is not invariant under the generators")
-            images[local[v]] = local[w]
-        perms.append(tuple(images))
-    return GeneratorSet(len(ordered), tuple(perms), gens.kind)
+    if ordered and not 0 <= ordered[0] <= ordered[-1] < gens.degree:
+        raise ValueError(f"vertex outside 0..{gens.degree - 1}")
+    tables = _image_tables(gens, ordered, getitem,
+                           "vertex set is not invariant under the generators")
+    return GeneratorSet(len(ordered), tuple(map(tuple, tables)), gens.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -595,32 +590,13 @@ class _Chain:
             self.stab.add(p)
         else:
             self.gens.append(p)
-        self._rebuild_orbit()
-        self._close()
-
-    def _rebuild_orbit(self) -> None:
-        gens = self.generators()
-        self.transversal = {self.basepoint: self.identity}
-        self.inverse = {self.basepoint: self.identity}
-        queue = deque([self.basepoint])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = g[x]
-                if y not in self.transversal:
-                    self.transversal[y] = t = compose(g, self.transversal[x])
-                    self.inverse[y] = inverse_perm(t)
-                    queue.append(y)
-
-    def _close(self) -> None:
+        actions = [(g, g) for g in self.generators()]
+        self.transversal, self.inverse = _transversal(
+            self.basepoint, actions, self.identity)
         # Schreier's lemma: sift every Schreier generator into the stabilizer
-        gens = self.generators()
-        for x in sorted(self.transversal):
-            t = self.transversal[x]
-            for g in gens:
-                u = compose(self.inverse[g[x]], compose(g, t))
-                if u != self.identity:
-                    self.stab.add(u)
+        for u in _schreier_generators(self.transversal, self.inverse,
+                                      actions, self.identity):
+            self.stab.add(u)
 
 
 def group_order(gens: GeneratorSet,

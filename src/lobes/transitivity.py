@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
 from .graph import Graph, bipartition, is_connected
-from .symmetry import (GeneratorSet, _engine_certificate, _orbit_cells,
-                       automorphism_generators, find_isomorphism,
-                       orbit_partition)
+from .symmetry import (GeneratorSet, _engine_certificate, _image_tables,
+                       _orbit_cells, _walk_image, automorphism_generators,
+                       find_isomorphism, orbit_partition)
 
 
 class TransitivityError(ValueError):
@@ -294,9 +294,9 @@ def k_arc_orbit_count(g: Graph, k: int) -> int:
     arcs = enumerate_k_arcs(g, k)
     if not arcs:
         raise TransitivityError(f"graph has no {k}-arcs")
-    gens = automorphism_generators(g)
-    act = lambda p, a: tuple(p[x] for x in a)
-    return len(_orbit_cells(gens, arcs, act, f"{k}-arcs"))
+    tables = _image_tables(automorphism_generators(g), arcs, _walk_image,
+                           f"generator does not act on the {k}-arcs domain")
+    return len(_orbit_cells(arcs, tables))
 
 
 # ---------------------------------------------------------------------------

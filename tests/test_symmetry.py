@@ -188,6 +188,45 @@ def test_orbit_partition_rejects_degree_mismatch():
         orbit_partition(gens, "edges", graph=g)
 
 
+BOWTIE = make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
+@pytest.mark.parametrize("degree", [3, 6])
+def test_lobe_orbits_reject_degree_mismatch(degree):
+    gens = generator_set([tuple(range(degree))], degree)
+    with pytest.raises(ValueError, match=f"generator degree {degree} does "
+                       "not match graph on 5 vertices"):
+        orbit_partition(gens, "lobes", decomposition=decompose(BOWTIE))
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 7], [-1, 0, 1, 2]])
+def test_restrict_to_rejects_vertices_outside_the_degree(vertices):
+    gens = automorphism_generators(BOWTIE)
+    with pytest.raises(ValueError, match=r"vertex outside 0\.\.4"):
+        restrict_to(gens, vertices)
+
+
+# swapping 0 and 3 is a permutation but not an automorphism of the bowtie
+_NOT_AUT = generator_set([(3, 1, 2, 0, 4)], 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: orbit_partition(_NOT_AUT, "edges", graph=BOWTIE),
+     "generator does not act on the edges domain"),
+    (lambda: orbit_partition(_NOT_AUT, "arcs", graph=BOWTIE),
+     "generator does not act on the arcs domain"),
+    (lambda: orbit_partition(_NOT_AUT, "lobes",
+                             decomposition=decompose(BOWTIE)),
+     "generator does not permute the lobes"),
+    (lambda: restrict_to(automorphism_generators(BOWTIE), [0, 1, 2]),
+     "vertex set is not invariant under the generators"),
+], ids=["edges", "arcs", "lobes", "restrict_to"])
+def test_reject_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_group_order_examples():
     assert group_order(automorphism_generators(named_graph("k4"))) == 24
     assert group_order(automorphism_generators(named_graph("petersen"))) == 120
