@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 from .decomposition import _lobe_tree_codes, connectivity_class
 from .graph import Graph, GraphError, bipartition, make_graph
-from .symmetry import (GeneratorSet, automorphism_generators,
-                       canonical_certificate, generator_set, orbit_partition)
+from .symmetry import (GeneratorSet, _engine_certificate,
+                       automorphism_generators, canonical_certificate,
+                       generator_set, orbit_partition)
+from .transitivity import _arc_pattern, _edge_pattern
 
 DEFAULT_MAX_VERTICES = 100000
 
@@ -361,125 +363,60 @@ def classify_limit(spec: BuildSpec) -> LimitReport:
     The limit is lobe-transitive by construction.  Vertex transitivity holds
     iff for every orbit of the seed's full automorphism group, the number of
     lobes meeting a vertex inside that orbit is the same for every cell of
-    the vertex partition.  Edge and arc transitivity follow the finite
-    checkers' case analysis evaluated on the symbolic membership counts.
+    the vertex partition.  Edge and arc transitivity go through the finite
+    checkers' kernels, with the r-cells as vertex types.
+
+    The limit is bipartite when Λ is and no q-cell meets both sides of Λ.
+    Host side s then holds the r-cells on Λ's side s, or every r-cell when
+    some r-cell meets both sides: then lobes occur in both orientations,
+    and they align only if Λ has a side-swapping automorphism, since the
+    host sides are the vertex orbits of an edge-transitive limit that is
+    not vertex-transitive.  In fact no such limit meets 3c: a
+    vertex-transitive Λ makes the host vertex-transitive once the cell
+    totals agree, and the sides of any other edge-transitive Λ are its
+    orbits, which no automorphism swaps.  The tests cross-check the verdicts
+    against truncations; sufficiency is not proved.
     """
     lam = spec.lambda0
     aut = automorphism_generators(lam)
     aut_orbits = orbit_partition(aut, "vertices")
     o_index = aut_orbits.cell_index()
-    o_of_q = [o_index[cell[0]] for cell in spec.q_cells]
-
     n_k = len(spec.r_cells)
     totals = tuple(sum(spec.mu[k]) for k in range(n_k))
 
-    vertex_transitive = True
-    for m in range(aut_orbits.cell_count):
-        values = set()
-        for k in range(n_k):
-            values.add(sum(spec.mu[k][j] for j in range(len(spec.q_cells))
-                           if spec.r_of_q[j] == k and o_of_q[j] == m))
-        if len(values) != 1:
-            vertex_transitive = False
-            break
+    def sums(label, count):
+        """``[x][k]``: lobes meeting a cell-k vertex at a q-cell labelled x."""
+        return [[sum(row[j] for j, y in enumerate(label) if y == x)
+                 for row in spec.mu] for x in range(count)]
 
-    lobe_vt = aut_orbits.cell_count == 1
-    lobe_et = orbit_partition(aut, "edges", graph=lam).cell_count == 1
-    lobe_at = orbit_partition(aut, "arcs", graph=lam).cell_count == 1
+    o_of_q = [o_index[cell[0]] for cell in spec.q_cells]
+    vertex_transitive = all(len(set(per_cell)) == 1
+                            for per_cell in sums(o_of_q, aut_orbits.cell_count))
 
-    edge_transitive = False
-    edge_case = None
-    m_constants = None
-    if lobe_et:
-        if vertex_transitive and lobe_vt:
-            edge_transitive = True
-            edge_case = "3a"
-            m_constants = (totals[0],)
-        elif vertex_transitive:
-            got = _limit_case_b(spec, lam)
-            if got is not None:
-                edge_transitive = True
-                edge_case = "3b"
-                m_constants = got
-        else:
-            got = _limit_case_c(spec, lam)
-            if got is not None:
-                edge_transitive = True
-                edge_case = "3c"
-                m_constants = got
+    lam_sides = bipartition(lam)
+    side_of = {v: s for s, side in enumerate(lam_sides or ()) for v in side}
+    q_side = [side_of.get(cell[0]) for cell in spec.q_cells]
+    sides = side_sums = None
+    mixed = False
+    if lam_sides is not None and all(side_of[v] == q_side[j] for j, cell
+                                     in enumerate(spec.q_cells) for v in cell):
+        side_sums = sums(q_side, 2)  # positive where r-cell k meets side s
+        mixed = any(a and b for a, b in zip(*side_sums))
+        sides = [[k for k in range(n_k) if mixed or side_sums[s][k]]
+                 for s in (0, 1)]
 
-    arc_transitive = lobe_at and len(set(totals)) == 1
-
-    return LimitReport(True, vertex_transitive, edge_transitive, edge_case,
-                       arc_transitive, totals, m_constants)
-
-
-def _q_sides(spec: BuildSpec, lam: Graph):
-    """Side of each attachment cell in the seed's bipartition, or None."""
-    sides = bipartition(lam)
-    if sides is None:
-        return None
-    side_of = {}
-    for s, side in enumerate(sides):
-        for v in side:
-            side_of[v] = s
-    out = []
-    for cell in spec.q_cells:
-        ss = {side_of[v] for v in cell}
-        if len(ss) != 1:
-            return None  # a side-straddling orbit cell
-        out.append(ss.pop())
-    return out
-
-
-def _limit_case_b(spec: BuildSpec, lam: Graph):
-    """Vertex-transitive limit over a bipartite non-vertex-transitive seed:
-    per-side membership counts must not depend on the vertex cell."""
-    q_side = _q_sides(spec, lam)
-    if q_side is None:
-        return None
-    m = []
-    for s in (0, 1):
-        values = set()
-        for k in range(len(spec.r_cells)):
-            values.add(sum(spec.mu[k][j] for j in range(len(spec.q_cells))
-                           if spec.r_of_q[j] == k and q_side[j] == s))
-        if len(values) != 1:
+    def unaligned():
+        swapped = {v: 1 - s for v, s in side_of.items()}
+        if not mixed or _engine_certificate(lam, side_of) == \
+                _engine_certificate(lam, swapped):
             return None
-        m.append(values.pop())
-    return tuple(m)
+        return 1  # the limit's lobes have no ids: 1 stands for a reversed one
 
-
-def _limit_case_c(spec: BuildSpec, lam: Graph):
-    """Non-vertex-transitive limit: the host bipartition must absorb the
-    cells one-sidedly, with a constant lobe count on each side."""
-    q_side = _q_sides(spec, lam)
-    if q_side is None:
-        return None
-    totals = [sum(row) for row in spec.mu]
-    side_of_k: list[int | None] = [None] * len(spec.r_cells)
-    consistent = True
-    for j, k in enumerate(spec.r_of_q):
-        if side_of_k[k] is None:
-            side_of_k[k] = q_side[j]
-        elif side_of_k[k] != q_side[j]:
-            consistent = False
-    if not consistent:
-        # vertex cells occur on both sides of the limit: a single constant
-        # must cover everything
-        if len(set(totals)) == 1 and totals[0] >= 2:
-            return (totals[0], totals[0])
-        return None
-    m = []
-    for s in (0, 1):
-        values = {totals[k] for k in range(len(spec.r_cells))
-                  if side_of_k[k] == s}
-        if len(values) != 1:
-            return None
-        m.append(values.pop())
-    if max(m) < 2:
-        return None
-    return tuple(m)
+    edge = _edge_pattern(lam, aut, vertex_transitive, totals, sides,
+                         side_sums, unaligned)
+    arc = _arc_pattern(lam, aut, totals)
+    return LimitReport(True, vertex_transitive, edge.holds, edge.case,
+                       arc.holds, totals, edge.constants)
 
 
 def spec_equivalent(s1: BuildSpec, s2: BuildSpec, compare_depth: int,

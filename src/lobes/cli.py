@@ -225,9 +225,9 @@ def _cmd_iso(args) -> int:
     mapping = find_isomorphism(g1, g2)
     if args.json:
         _emit_json({"isomorphic": mapping is not None,
-                    "mapping": list(mapping) if mapping else None})
+                    "mapping": None if mapping is None else list(mapping)})
     else:
-        print(list(mapping) if mapping else "non-isomorphic")
+        print("non-isomorphic" if mapping is None else list(mapping))
     return EXIT_OK if mapping is not None else EXIT_NEGATIVE
 
 
@@ -240,7 +240,11 @@ def _cmd_named(args) -> int:
     if args.output:
         with _output_file(args.output) as fh:
             fh.write(text)
-        print(f"wrote {args.name} to {args.output}")
+        if args.json:
+            _emit_json({"vertex_count": g.vertex_count,
+                        "written": args.output})
+        else:
+            print(f"wrote {args.name} to {args.output}")
     elif args.json:
         _emit_json({"name": args.name, "params": args.params, "graph": text})
     else:

@@ -193,6 +193,56 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
 # Edge and arc transitivity
 # ---------------------------------------------------------------------------
 
+def _edge_pattern(lobe: Graph, gens: GeneratorSet, host_vt: bool, counts,
+                  sides, side_sums, unaligned) -> Verdict:
+    """The edge criterion for a host whose lobes are all isomorphic to
+    ``lobe``, with Aut(lobe) generated by ``gens``.
+
+    ``counts[t]`` is the number of lobes at a type-t vertex, ``sides`` the
+    types on each host side (None if the host is not bipartite), and
+    ``side_sums[s][t]`` the number of lobes holding a type-t vertex on their
+    side s.  ``unaligned()`` is None when every lobe has a host-side
+    preserving isomorphism from lobe 0, else a lobe without one.  Patterns:
+    3a, a vertex-transitive lobe and host with a constant count; 3b, a
+    vertex-transitive host with constant per-side sums; 3c, any other
+    bipartite host with aligned lobes and a constant count on each side, at
+    least 2 on one side.
+    """
+    if orbit_partition(gens, "edges", graph=lobe).cell_count != 1:
+        return Verdict(False, witness=("lobe_not_edge_transitive", 0))
+    if host_vt and orbit_partition(gens, "vertices").cell_count == 1:
+        case, per_side = "3a", [list(enumerate(counts))]
+    elif sides is None:
+        return Verdict(False, witness=("not_bipartite", None))
+    elif host_vt:
+        case, per_side = "3b", [list(enumerate(row)) for row in side_sums]
+    else:
+        i = unaligned()
+        if i is not None:
+            return Verdict(False, witness=("side_alignment", (0, i)))
+        case, per_side = "3c", [[(t, counts[t]) for t in side]
+                                for side in sides]
+    m = tuple(side[0][1] for side in per_side)
+    for s, side in enumerate(per_side):
+        t = next((t for t, c in side if c != m[s]), None)
+        if t is not None:
+            return Verdict(False, witness=("side_count_not_constant", (s, t)))
+    if case == "3c" and max(m) < 2:
+        return Verdict(False, witness=("all_counts_one", None))
+    return Verdict(True, case=case, constants=m)
+
+
+def _arc_pattern(lobe: Graph, gens: GeneratorSet, counts) -> Verdict:
+    """The arc criterion: an arc-transitive ``lobe`` and the same number of
+    lobes, ``counts[t]``, at every vertex type t."""
+    if orbit_partition(gens, "arcs", graph=lobe).cell_count != 1:
+        return Verdict(False, witness=("lobe_not_arc_transitive", 0))
+    if len(set(counts)) != 1:
+        return Verdict(False,
+                       witness=("lobe_count_not_constant", sorted(set(counts))))
+    return Verdict(True)
+
+
 def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
                            classes: LobeClasses) -> Verdict:
     """Edge transitivity: edge-transitive isomorphic lobes plus a counting
@@ -205,37 +255,18 @@ def is_edge_transitive_thm(g: Graph, d: LobeDecomposition,
     (:func:`lobes.builder.classify_limit`).  Pattern 3c: a bipartite host,
     lobes isomorphic to lobe 0 by side-preserving maps, and a constant
     number of lobes at the vertices of each side, at least 2 on one side.
+    Each vertex is its own type in :func:`_edge_pattern`.
     """
     _require_multi_lobe(d, "is_edge_transitive_thm")
     failed = _nonisomorphic_lobes(classes, 0)
     if failed is not None:
         return failed
-    # lobe 0 is the representative of class 0
-    rep_sub = d.lobes[0].subgraph()[0]
-    if orbit_partition(classes.rep_generators[0], "edges",
-                       graph=rep_sub).cell_count != 1:
-        return Verdict(False, witness=("lobe_not_edge_transitive", 0))
     sides = bipartition(g)
-    if sides is None:
-        return Verdict(False, witness=("not_bipartite", None))
-    side_of = {}
-    for s, side in enumerate(sides):
-        for v in side:
-            side_of[v] = s
-    i = _first_unlike_lobe(d, side_of, 0)
-    if i is not None:
-        return Verdict(False, witness=("side_alignment", (0, i)))
-    m = []
-    for s, side in enumerate(sides):
-        counts = {len(d.lobes_at[v]) for v in side}
-        if len(counts) != 1:
-            v_bad = next(v for v in side
-                         if len(d.lobes_at[v]) != len(d.lobes_at[side[0]]))
-            return Verdict(False, witness=("side_count_not_constant", (s, v_bad)))
-        m.append(counts.pop())
-    if max(m) < 2:
-        return Verdict(False, witness=("all_counts_one", None))
-    return Verdict(True, case="3c", constants=tuple(m))
+    side_of = {v: s for s, side in enumerate(sides or ()) for v in side}
+    # lobe 0 is the representative of class 0
+    return _edge_pattern(d.lobes[0].subgraph()[0], classes.rep_generators[0],
+                         False, [len(at) for at in d.lobes_at], sides, None,
+                         lambda: _first_unlike_lobe(d, side_of, 0))
 
 
 def is_arc_transitive_thm(g: Graph, d: LobeDecomposition,
@@ -246,14 +277,8 @@ def is_arc_transitive_thm(g: Graph, d: LobeDecomposition,
     failed = _nonisomorphic_lobes(classes, 0)
     if failed is not None:
         return failed
-    rep_sub = d.lobes[0].subgraph()[0]
-    if orbit_partition(classes.rep_generators[0], "arcs",
-                       graph=rep_sub).cell_count != 1:
-        return Verdict(False, witness=("lobe_not_arc_transitive", 0))
-    counts = {len(d.lobes_at[v]) for v in range(g.vertex_count)}
-    if len(counts) != 1:
-        return Verdict(False, witness=("lobe_count_not_constant", sorted(counts)))
-    return Verdict(True)
+    return _arc_pattern(d.lobes[0].subgraph()[0], classes.rep_generators[0],
+                        [len(at) for at in d.lobes_at])
 
 
 def tree_edge_transitivity(g: Graph) -> tuple[int, int] | None:

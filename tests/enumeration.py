@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 
-from lobes.catalog import complete_bipartite_graph, complete_graph, cycle_graph
+from lobes.catalog import (chorded_5_cycle, complete_bipartite_graph,
+                           complete_graph, cycle_graph)
 from lobes.graph import Graph, is_connected, make_graph
-from lobes.symmetry import canonical_certificate
+from lobes.symmetry import (canonical_certificate, generator_set,
+                            orbit_partition)
 
 
 def all_graphs_up_to(n_max: int) -> dict[int, list[Graph]]:
@@ -106,3 +108,61 @@ def random_connectivity_one_graph(rng: random.Random,
         if blocks >= 2 and rng.random() < 0.3:
             break
     return make_graph(n, edges)
+
+
+_SEED_POOL = None
+
+
+def _seed_pool() -> list[tuple[Graph, list[tuple[int, ...]]]]:
+    """Small biconnected seed lobes, each with its whole automorphism group."""
+    global _SEED_POOL
+    if _SEED_POOL is None:
+        from brute import brute_automorphisms
+        graphs = [
+            make_graph(2, [(0, 1)]),
+            *(cycle_graph(n) for n in range(3, 7)),
+            complete_graph(4),
+            make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+            complete_bipartite_graph(2, 3),
+            complete_bipartite_graph(2, 4),
+            complete_bipartite_graph(3, 3),
+            chorded_5_cycle(),
+            make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)]),
+            make_graph(5, list(cycle_graph(4).edges)
+                       + [(i, 4) for i in range(4)]),
+            make_graph(5, list(cycle_graph(5).edges) + [(1, 4)]),
+            make_graph(8, [(a, b) for a in range(8) for b in range(a + 1, 8)
+                           if bin(a ^ b).count("1") == 1]),
+        ]
+        _SEED_POOL = [(g, brute_automorphisms(g)) for g in graphs]
+    return _SEED_POOL
+
+
+def random_spec_doc(rng: random.Random) -> dict:
+    """A random depth-2 build-spec document over a small seed lobe.
+
+    The subgroup is ``"aut"`` or generated by 0-2 random automorphisms, the
+    vertex partition a random coarsening of the subgroup's orbits, and every
+    multiplicity 1-3.  The document may still fail ``validate_spec`` (every
+    cell total below 2).
+    """
+    g, auts = rng.choice(_seed_pool())
+    n = g.vertex_count
+    h = "aut" if rng.random() < 0.3 else [
+        list(rng.choice(auts)) for _ in range(rng.randint(0, 2))]
+    gens = generator_set(auts if h == "aut" else h, n, "user", graph=g)
+    q_cells = orbit_partition(gens, "vertices").cells
+    label = [rng.randrange(len(q_cells)) for _ in q_cells]
+    r_labels = sorted(set(label))
+    return {
+        "lambda0": {"n": n, "edges": [list(e) for e in g.edges]},
+        "h": h,
+        "r_partition": [[v for j, cell in enumerate(q_cells) if label[j] == x
+                         for v in cell] for x in r_labels],
+        "mu": [{"k": k, "values": {str(j): rng.randint(1, 3)
+                                   for j in range(len(q_cells))
+                                   if label[j] == x}}
+               for k, x in enumerate(r_labels)],
+        "depth": 2,
+    }

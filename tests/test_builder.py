@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from lobes.builder import (BuildSpecError, LobeRecord, BuildResult,
                            with_depth)
 from lobes.graph import make_graph, serialize_graph
 from lobes.symmetry import automorphism_generators, canonical_certificate
+
+from enumeration import random_spec_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -255,6 +258,71 @@ def test_limit_reports():
 
     lim = classify_limit(load_spec("petersen_balanced.json"))
     assert lim.vertex_transitive and lim.edge_transitive and lim.arc_transitive
+
+
+K24_EDGES = [[0, 2], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [1, 5]]
+
+
+@pytest.mark.parametrize("doc", [
+    # Λ = K_{2,3}: cell [0, 1, 2, 3] sits on both sides of its lobes, and no
+    # automorphism of Λ swaps the sides of 2 and 3 vertices
+    {"lambda0": {"n": 5, "edges": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3],
+                                   [1, 4]]},
+     "h": [[0, 1, 3, 2, 4], [1, 0, 3, 2, 4]],
+     "r_partition": [[4], [0, 1, 2, 3]],
+     "mu": [{"k": 0, "values": {"2": 3}}, {"k": 1, "values": {"0": 2, "1": 1}}],
+     "depth": 3},
+    {"lambda0": {"n": 6, "edges": K24_EDGES}, "h": [[1, 0, 2, 4, 3, 5]],
+     "r_partition": [[2, 5], [0, 1, 3, 4]],
+     "mu": [{"k": 0, "values": {"3": 1, "1": 2}},
+            {"k": 1, "values": {"2": 1, "0": 2}}],
+     "depth": 2},
+    {"lambda0": {"n": 6, "edges": K24_EDGES}, "h": [[1, 0, 3, 2, 4, 5]],
+     "r_partition": [[0, 1, 5], [2, 3, 4]],
+     "mu": [{"k": 0, "values": {"0": 1, "3": 1}},
+            {"k": 1, "values": {"1": 1, "2": 1}}],
+     "depth": 2},
+    {"lambda0": {"n": 6, "edges": K24_EDGES}, "h": [],
+     "r_partition": [[2, 3], [0, 5], [1, 4]],
+     "mu": [{"k": 0, "values": {"2": 3, "3": 2}},
+            {"k": 1, "values": {"5": 3, "0": 2}},
+            {"k": 2, "values": {"1": 3, "4": 2}}],
+     "depth": 2},
+], ids=["k23_mixed_cell", "k24_mixed_1", "k24_mixed_2", "k24_mixed_3"])
+def test_limit_with_lobes_in_both_orientations_needs_a_side_swap(doc):
+    lim = classify_limit(validate_spec(doc))
+    assert not lim.edge_transitive
+    assert lim.edge_case is None and lim.m_constants is None
+
+
+def test_limit_verdicts_meet_degree_conditions_on_random_truncations():
+    # Interior vertices of a truncation have their limit degree, so a
+    # vertex- or arc-transitive limit gives one degree over them and an
+    # edge-transitive one a single degree pair over the interior edges.
+    # Seed 3 draws two K_{2,4} specs like those above: a cell on both sides
+    # of its lobes, and no automorphism of Λ swapping its sides.
+    rng = random.Random(3)
+    checked = []
+    for _ in range(300):
+        doc = random_spec_doc(rng)
+        try:
+            spec = validate_spec(doc)
+        except BuildSpecError:
+            continue
+        lim = classify_limit(spec)
+        result = build_truncation(spec)
+        g = result.graph
+        deg = g.degrees()
+        inner = [d < 2 for d in result.vertex_depth]
+        if lim.vertex_transitive or lim.arc_transitive:
+            assert len({deg[v] for v in range(g.vertex_count)
+                        if inner[v]}) == 1, doc
+        if lim.edge_transitive:
+            assert len({tuple(sorted((deg[u], deg[v]))) for u, v in g.edges
+                        if inner[u] and inner[v]}) == 1, doc
+        checked.append(lim.edge_case)
+    assert len(checked) > 250
+    assert {"3a", "3b", "3c"} <= set(checked)
 
 
 def test_spec_equivalence():

@@ -115,6 +115,27 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert "non-isomorphic" in capsys.readouterr().out
 
 
+def test_iso_on_two_empty_graphs(tmp_path, capsys):
+    # the empty mapping is a mapping, not a missing one
+    empty = tmp_path / "e.g"
+    empty.write_text("0 0\n")
+    assert run_cli(["iso", str(empty), str(empty), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"isomorphic": True,
+                                                  "mapping": []}
+    assert run_cli(["iso", str(empty), str(empty)]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+def test_named_json_with_output(tmp_path, capsys):
+    path = tmp_path / "c4.g"
+    assert run_cli(["named", "cycle", "4", "--json", "-o", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"vertex_count": 4,
+                                                  "written": str(path)}
+    assert parse_graph(path.read_text()).edge_count == 4
+    assert run_cli(["named", "cycle", "4", "-o", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote cycle to {path}\n"
+
+
 def test_named(capsys):
     assert run_cli(["named", "petersen"]) == 0
     text = capsys.readouterr().out
