@@ -99,17 +99,23 @@ def decompose(g: Graph) -> LobeDecomposition:
         raise DecompositionError("cannot decompose an edgeless graph")
     if not is_connected(g):
         raise DecompositionError("cannot decompose a disconnected graph")
-    raw = _biconnected_edge_groups(g)
-    raw.sort(key=lambda edges: edges[0])
+    return _decomposition(g.vertex_count, _biconnected_edge_groups(g))
+
+
+def _decomposition(n: int, groups: list[list[tuple[int, int]]]
+                   ) -> LobeDecomposition:
+    """The decomposition of a connected graph on n vertices from its
+    ``_biconnected_edge_groups``, which are sorted in place."""
+    groups.sort(key=lambda edges: edges[0])
     lobes = []
-    for edges in raw:
+    for edges in groups:
         vertices = sorted({v for e in edges for v in e})
         lobes.append(Lobe(tuple(vertices), tuple(edges)))
-    lobes_at: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    lobes_at: list[list[int]] = [[] for _ in range(n)]
     for i, lobe in enumerate(lobes):
         for v in lobe.vertices:
             lobes_at[v].append(i)
-    cut_vertices = tuple(v for v in range(g.vertex_count) if len(lobes_at[v]) >= 2)
+    cut_vertices = tuple(v for v in range(n) if len(lobes_at[v]) >= 2)
     tree_edges = tuple(sorted(
         (i, v) for v in cut_vertices for i in lobes_at[v]))
     return LobeDecomposition(tuple(lobes), cut_vertices, tree_edges,
@@ -224,9 +230,10 @@ def _lobe_tree_certificate(g: Graph, colors=None) -> bytes | None:
     """
     if g.vertex_count < 3 or not is_connected(g):
         return None
-    d = decompose(g)
-    if d.lobe_count < 2:
+    groups = _biconnected_edge_groups(g)
+    if len(groups) < 2:
         return None
+    d = _decomposition(g.vertex_count, groups)
     # tree nodes: lobe i as i, cut vertex v as ~v
     adj = {i: [~v for v in lobe.vertices if len(d.lobes_at[v]) > 1]
            for i, lobe in enumerate(d.lobes)}

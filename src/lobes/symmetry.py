@@ -10,7 +10,9 @@ their first position and shared by a node's children until split, and each
 node inherits the known generators that fix its prefix pointwise: both only
 save work, so the nodes visited and the output stay the same.  The group
 order is read off the first path of the search tree (McKay, "Practical
-graph isomorphism", 1981), so an engine run also yields |Aut|.
+graph isomorphism", 1981), so an engine run also yields |Aut|.  An
+isomorphism test searches the second graph only until a leaf reaches the
+first graph's canonical form, which is the leaf its full search would keep.
 
 Everything here is a pure function of its inputs; all orders (cell order,
 branch order, orbit cell order) are fixed so output is deterministic.
@@ -152,6 +154,10 @@ class _Partition:
                 self.cell_of[v] = start
 
 
+class _Stop(Exception):
+    """Ends a search at the leaf that reached its ``stop_key``."""
+
+
 class _Engine:
     """Shared search for canonical labeling and automorphism generators.
 
@@ -169,15 +175,24 @@ class _Engine:
     a leaf equal to the first one, whose automorphism maps it back.  The
     first leaf is discrete and so has a trivial stabilizer, which makes the
     product |Aut| by the orbit-stabilizer theorem (McKay 1981).
+
+    With ``stop_key``, the search ends at the first leaf whose key equals it
+    and keeps that leaf as best.  Up to that leaf it follows the full
+    search's path, and the full search keeps the first leaf that reaches the
+    minimum key (it replaces its best only on a smaller key), so when
+    ``stop_key`` is the minimum the labeling is the full search's.  The
+    generators and ``order`` of a stopped search are incomplete.
     """
 
-    def __init__(self, g: Graph, initial_cells: list[list[int]]):
+    def __init__(self, g: Graph, initial_cells: list[list[int]],
+                 stop_key: tuple | None = None):
         self.n = g.vertex_count
         self.adj = g.adjacency
         self.edges = g.edges
         self.initial_cells = [sorted(c) for c in initial_cells]
         self.first_key = self.first_lab = None
         self.best_key = self.best_lab = None
+        self.stop_key = stop_key
         self.gens: list[Perm] = []
         self._gen_seen: set[Perm] = set()
         self._cnt = [0] * self.n
@@ -190,7 +205,10 @@ class _Engine:
             return (), (), [], 1
         part = _Partition(self.initial_cells, self.n)
         self._refine(part, self.initial_cells)
-        self._node(part, (), [])
+        try:
+            self._node(part, (), [])
+        except _Stop:
+            pass
         return self.best_key, self.best_lab, self.gens, self.order
 
     def _refine(self, part: _Partition, queue: list[list[int]]) -> None:
@@ -240,6 +258,10 @@ class _Engine:
         key = tuple(sorted(
             (lab[u], lab[v]) if lab[u] < lab[v] else (lab[v], lab[u])
             for u, v in self.edges))
+        if key == self.stop_key:
+            self.best_key = key
+            self.best_lab = lab
+            raise _Stop
         if self.first_key is None:
             self.first_key = key
             self.first_lab = lab
@@ -369,22 +391,31 @@ def _engine_certificate(g: Graph, colors=None) -> bytes:
 def find_isomorphism(g1: Graph, g2: Graph, colors1=None, colors2=None):
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
-    With colors, only color-preserving isomorphisms are considered.  When
-    either graph has connectivity 1, their block-cut tree certificates are
-    compared first and differing ones give None at once; the mapping itself
-    always comes from the engine.
+    With colors, only color-preserving isomorphisms are considered, and
+    unequal colour multisets give None at once.  When either graph has
+    connectivity 1, their block-cut tree certificates are compared first
+    and differing ones give None at once; the mapping itself always comes
+    from the engine.  g1 gets a full search; g2's search stops at its first
+    leaf with g1's canonical form (``_Engine``'s ``stop_key``), which is the
+    leaf g2's full search would keep, so the mapping is the one two full
+    searches give.
     """
-    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
+    n = g1.vertex_count
+    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
+        return None
+    cells1, sig1 = _color_cells(n, colors1)
+    cells2, sig2 = _color_cells(n, colors2)
+    if sig1 != sig2:
         return None
     from .decomposition import _lobe_tree_certificate as tree  # see above
     if tree(g1, colors1) != tree(g2, colors2):
         return None
-    key1, lab1, _, sig1, _ = _run_engine(g1, colors1)
-    key2, lab2, _, sig2, _ = _run_engine(g2, colors2)
-    if key1 != key2 or sig1 != sig2:
+    key1, lab1, _, _ = _Engine(g1, cells1).run()
+    key2, lab2, _, _ = _Engine(g2, cells2, stop_key=key1).run()
+    if key1 != key2:
         return None
     lab2_inv = inverse_perm(lab2)
-    return tuple(lab2_inv[lab1[v]] for v in range(g1.vertex_count))
+    return tuple(lab2_inv[lab1[v]] for v in range(n))
 
 
 # ---------------------------------------------------------------------------

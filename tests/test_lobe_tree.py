@@ -3,7 +3,9 @@
 ``canonical_certificate`` certifies a connectivity-1 graph from its block-cut
 tree, running the engine on its lobes only; ``_engine_certificate`` runs the
 engine on the whole graph.  Two inputs must get equal tree certificates
-exactly when they get equal engine certificates.
+exactly when they get equal engine certificates.  ``find_isomorphism``
+stops its second search at the first graph's canonical form, and must
+still give the mapping of two full engine searches.
 """
 
 import json
@@ -15,15 +17,17 @@ import pytest
 from lobes import symmetry
 from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
-from lobes.decomposition import connectivity_class
+from lobes.decomposition import connectivity_class, decompose, lobe_classes
 from lobes.graph import is_connected, make_graph, relabel_graph
-from lobes.symmetry import (_engine_certificate, canonical_certificate,
-                            find_isomorphism)
+from lobes.symmetry import (_engine_certificate, _run_engine,
+                            canonical_certificate, find_isomorphism,
+                            inverse_perm)
 
 from brute import brute_is_cut_vertex
 from enumeration import all_graphs_up_to, random_connectivity_one_graph
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+BY_NAME = {p.stem: p for p in FIXTURES}
 TAG = b"lobe tree;"
 
 
@@ -139,11 +143,10 @@ def test_colored_tree_certificates_match_engine():
 def test_certificates_of_large_truncations():
     """Inputs the engine could not certify in a benchmark run."""
     rng = random.Random(3)
-    by_name = {p.stem: p for p in FIXTURES}
     certs = []
     for name, depth in (("chord5cyc", 3), ("petersen_balanced", 2),
                         ("petersen_balanced", 3), ("kst_one_each", 3)):
-        g = _truncation(by_name[name], depth)
+        g = _truncation(BY_NAME[name], depth)
         cert = canonical_certificate(g)
         assert cert.startswith(TAG)
         assert canonical_certificate(_relabel(g, rng)[0]) == cert, name
@@ -183,3 +186,112 @@ def test_find_isomorphism_rejects_by_tree_certificate(monkeypatch):
     runs.clear()
     assert find_isomorphism(chain, chain) is not None
     assert runs.count(7) == 2
+
+
+# ---------------------------------------------------------------------------
+# find_isomorphism's stopped second search against two full searches
+# ---------------------------------------------------------------------------
+
+def _full_search_mapping(g1, g2, colors1=None, colors2=None):
+    """lab2^-1 . lab1 from two full engine runs, or None."""
+    key1, lab1, _, sig1, _ = _run_engine(g1, colors1)
+    key2, lab2, _, sig2, _ = _run_engine(g2, colors2)
+    if key1 != key2 or sig1 != sig2:
+        return None
+    lab2_inv = inverse_perm(lab2)
+    return tuple(lab2_inv[lab1[v]] for v in range(g1.vertex_count))
+
+
+def _assert_same_mapping(g1, g2, colors1=None, colors2=None):
+    mapping = find_isomorphism(g1, g2, colors1, colors2)
+    assert mapping == _full_search_mapping(g1, g2, colors1, colors2)
+    return mapping
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda name=name: _truncation(BY_NAME[name], 2),
+                 id=f"{name}_d2")
+    for name in ("k4_uniform", "kst_one_each", "kst_two_images")] + [
+    pytest.param(lambda args=args: named_graph(*args),
+                 id="_".join(map(str, args)))
+    for args in (("petersen",), ("holt",), ("complete_bipartite", 3, 3),
+                 ("cycle", 30))])
+def test_stopped_search_gives_the_full_search_mapping(make):
+    g = make()
+    rng = random.Random(g.vertex_count)
+    for _ in range(3):
+        h, _ = _relabel(g, rng)
+        mapping = _assert_same_mapping(g, h)
+        assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges)
+
+
+def test_stopped_search_on_anchored_lobe_pairs():
+    # the pairs extend_lobe_isomorphism glues: two lobes of one class, each
+    # coloured by its anchor vertex, isomorphic or not as the anchors' orbit
+    # labels agree or not
+    rng = random.Random(7)
+    found = missing = 0
+    for name in ("chord5cyc", "petersen_balanced", "kst_one_each"):
+        g = _truncation(BY_NAME[name], 1)
+        d = decompose(g)
+        classes = lobe_classes(g, d)
+        for ls in range(d.lobe_count):
+            lt = rng.choice([i for i in range(d.lobe_count)
+                             if classes.class_of[i] == classes.class_of[ls]])
+            sub_s, orig_s = d.lobes[ls].subgraph()
+            sub_t, orig_t = d.lobes[lt].subgraph()
+            v, w = rng.choice(orig_s), rng.choice(orig_t)
+            colors_s = [1 if x == v else 0 for x in orig_s]
+            colors_t = [1 if x == w else 0 for x in orig_t]
+            mapping = _assert_same_mapping(sub_s, sub_t, colors_s, colors_t)
+            same_label = (classes.vertex_label[ls][v]
+                          == classes.vertex_label[lt][w])
+            assert (mapping is not None) == same_label, (name, ls, lt, v, w)
+            if mapping is None:
+                missing += 1
+            else:
+                found += 1
+                assert orig_t[mapping[orig_s.index(v)]] == w
+    assert found and missing
+
+
+def test_stopped_search_on_a_nonisomorphic_biconnected_pair():
+    # K_{3,3} and the triangular prism: 6 vertices, 9 edges, 3-regular, so
+    # refinement splits nothing and g2's search runs to its end
+    prism = make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                           (0, 3), (1, 4), (2, 5)])
+    k33 = named_graph("complete_bipartite", 3, 3)
+    assert _assert_same_mapping(k33, prism) is None
+    assert _assert_same_mapping(prism, k33) is None
+
+
+def test_stopped_search_visits_a_tenth_of_the_nodes(monkeypatch):
+    g = _truncation(BY_NAME["kst_one_each"], 2)
+    h, _ = _relabel(g, random.Random(1))
+    nodes = {"full": 0, "stopped": 0}
+    real_node = symmetry._Engine._node
+
+    def counted(engine, *args):
+        nodes["full" if engine.stop_key is None else "stopped"] += 1
+        return real_node(engine, *args)
+
+    monkeypatch.setattr(symmetry._Engine, "_node", counted)
+    assert find_isomorphism(g, h) is not None
+    assert nodes["stopped"] > 0
+    nodes["full"] = 0
+    _run_engine(h)
+    assert nodes["stopped"] * 10 < nodes["full"], nodes
+
+
+def test_find_isomorphism_rejects_by_colour_signature(monkeypatch):
+    def fail(engine):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(symmetry._Engine, "run", fail)
+    g = named_graph("petersen")
+    h, _ = _relabel(g, random.Random(3))
+    one = [0] * 9 + [1]
+    two = [0] * 8 + [1, 1]
+    assert find_isomorphism(g, h, one, two) is None
+    assert find_isomorphism(g, h, two, one) is None
+    assert find_isomorphism(g, h, one, None) is None
