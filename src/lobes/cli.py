@@ -140,6 +140,9 @@ def _cmd_classify(args) -> int:
         t = report.theorem
         print(f"theorem verdicts: vertex={t['vertex']} lobe={t['lobe']} "
               f"edge={t['edge']} arc={t['arc']}")
+        for name, (kind, data) in report.witnesses.items():
+            print(f"{name} witness: {kind}"
+                  + ("" if data is None else f" {data}"))
         if report.edge_case:
             print(f"edge case: {report.edge_case} "
                   f"m={list(report.m_constants or ())}")

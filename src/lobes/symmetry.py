@@ -13,6 +13,10 @@ order is read off the first path of the search tree (McKay, "Practical
 graph isomorphism", 1981), so an engine run also yields |Aut|.  An
 isomorphism test searches the second graph only until a leaf reaches the
 first graph's canonical form, which is the leaf its full search would keep.
+Searches whose generators are thrown away (both of an isomorphism test's,
+and the engine certificate's) jump back from a leaf equal to the first one
+to the first path (McKay 1981), which keeps their results byte for byte;
+the searches that return generators run in full.
 
 Everything here is a pure function of its inputs; all orders (cell order,
 branch order, orbit cell order) are fixed so output is deterministic.
@@ -158,6 +162,11 @@ class _Stop(Exception):
     """Ends a search at the leaf that reached its ``stop_key``."""
 
 
+class _Jump(Exception):
+    """Abandons a subtree at a leaf equal to the first leaf; the deepest
+    first-path ancestor catches it and tries its next child."""
+
+
 class _Engine:
     """Shared search for canonical labeling and automorphism generators.
 
@@ -182,10 +191,29 @@ class _Engine:
     minimum key (it replaces its best only on a smaller key), so when
     ``stop_key`` is the minimum the labeling is the full search's.  The
     generators and ``order`` of a stopped search are incomplete.
+
+    With ``jump`` (McKay 1981), a leaf equal to the first leaf emits its
+    automorphism γ and raises ``_Jump``, which the leaf's deepest first-path
+    ancestor A catches; A then tries its next child.  The leaf lies under a
+    child c of A other than A's first child c0 (else a deeper first-path node
+    would be its ancestor), and γ fixes A's prefix pointwise and maps c to
+    c0, so A's sibling-orbit pruning takes γ in.  γ⁻¹ carries c0's subtree,
+    which is done, onto c's, so every key in the abandoned part of c's
+    subtree occurs at a leaf to its left, as every key in a pruned subtree
+    does, and by induction at a visited one.  So the leftmost leaf with the
+    minimum key is visited and is the first to reach that key, in either
+    search: keys, labelings, certificates and isomorphism mappings are the
+    full search's, and a ``stop_key`` search stops at the same leaf, since
+    the abandoned part holds no ``stop_key`` leaf that was not met before.
+    ``order`` is unchanged: a jump leaves c's subtree only from a leaf equal
+    to the first one, so every explored child of A in c0's orbit under the
+    stabilizer of A's prefix still joins c0's orbit under A's fixers.  The
+    generators found are fewer, so only callers that discard them set
+    ``jump``.
     """
 
     def __init__(self, g: Graph, initial_cells: list[list[int]],
-                 stop_key: tuple | None = None):
+                 stop_key: tuple | None = None, jump: bool = False):
         self.n = g.vertex_count
         self.adj = g.adjacency
         self.edges = g.edges
@@ -193,6 +221,7 @@ class _Engine:
         self.first_key = self.first_lab = None
         self.best_key = self.best_lab = None
         self.stop_key = stop_key
+        self.jump = jump
         self.gens: list[Perm] = []
         self._gen_seen: set[Perm] = set()
         self._cnt = [0] * self.n
@@ -270,6 +299,8 @@ class _Engine:
             return
         if key == self.first_key:
             self._emit(lab, self.first_lab)
+            if self.jump:
+                raise _Jump
         if key < self.best_key:
             self.best_key = key
             self.best_lab = lab
@@ -316,8 +347,12 @@ class _Engine:
             child = part.clone()
             child.split(target, [[v], [w for w in cell if w != v]])
             self._refine(child, [[v]])
-            self._node(child, prefix + (v,),
-                       [g for g in fixers if g[v] == v])
+            try:
+                self._node(child, prefix + (v,),
+                           [g for g in fixers if g[v] == v])
+            except _Jump:
+                if not first_path:
+                    raise
         if first_path:
             fixers.extend(g for g in self.gens[seen:]
                           if all(g[p] == p for p in prefix))
@@ -382,7 +417,8 @@ def canonical_certificate(g: Graph, colors=None) -> bytes:
 
 def _engine_certificate(g: Graph, colors=None) -> bytes:
     """``canonical_certificate`` from the engine, whatever the input."""
-    key, _, _, signature, _ = _run_engine(g, colors)
+    cells, signature = _color_cells(g.vertex_count, colors)
+    key, _, _, _ = _Engine(g, cells, jump=True).run()
     head = f"{g.vertex_count} {g.edge_count};{signature!r};".encode()
     body = b",".join(b"%d-%d" % e for e in key)
     return head + body
@@ -395,10 +431,11 @@ def find_isomorphism(g1: Graph, g2: Graph, colors1=None, colors2=None):
     unequal colour multisets give None at once.  When either graph has
     connectivity 1, their block-cut tree certificates are compared first
     and differing ones give None at once; the mapping itself always comes
-    from the engine.  g1 gets a full search; g2's search stops at its first
+    from the engine.  g1's search runs to its end; g2's stops at its first
     leaf with g1's canonical form (``_Engine``'s ``stop_key``), which is the
     leaf g2's full search would keep, so the mapping is the one two full
-    searches give.
+    searches give.  Both searches jump back (``_Engine``'s ``jump``), which
+    keeps that leaf and g1's canonical labeling.
     """
     n = g1.vertex_count
     if n != g2.vertex_count or g1.edge_count != g2.edge_count:
@@ -410,8 +447,8 @@ def find_isomorphism(g1: Graph, g2: Graph, colors1=None, colors2=None):
     from .decomposition import _lobe_tree_certificate as tree  # see above
     if tree(g1, colors1) != tree(g2, colors2):
         return None
-    key1, lab1, _, _ = _Engine(g1, cells1).run()
-    key2, lab2, _, _ = _Engine(g2, cells2, stop_key=key1).run()
+    key1, lab1, _, _ = _Engine(g1, cells1, jump=True).run()
+    key2, lab2, _, _ = _Engine(g2, cells2, stop_key=key1, jump=True).run()
     if key1 != key2:
         return None
     lab2_inv = inverse_perm(lab2)

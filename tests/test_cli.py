@@ -1,6 +1,9 @@
 """CLI subcommands, output formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,37 @@ def test_classify(tmp_path, capsys):
     assert doc["theorem"]["lobe"] is True
     assert doc["theorem"]["edge"] is False
     assert doc["consistent"] is True
+
+
+def test_classify_prints_failure_witnesses_in_text_mode(tmp_path, capsys):
+    # P4: three K2 lobes, the middle one moved by no automorphism onto an
+    # end one, so the lobe, edge and arc verdicts all fail
+    path = tmp_path / "p4.g"
+    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    assert run_cli(["classify", str(path), "--json"]) == 0
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    assert run_cli(["classify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "lobe witness: incompatible_lobe (0, 1)" in lines
+    assert "edge witness: side_count_not_constant (0, 2)" in lines
+    assert "arc witness: lobe_count_not_constant [1, 2]" in lines
+    assert witnesses == {"lobe": ["incompatible_lobe", [0, 1]],
+                         "edge": ["side_count_not_constant", [0, 2]],
+                         "arc": ["lobe_count_not_constant", [1, 2]]}
+    assert run_cli(["classify", write_bowtie(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "edge witness: not_bipartite\n" in out
+    assert "lobe witness" not in out
+
+
+def test_python_m_lobes_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "lobes", "named", "petersen"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert parse_graph(done.stdout) == named_graph("petersen")
 
 
 def test_karc(tmp_path, capsys):

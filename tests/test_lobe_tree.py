@@ -4,8 +4,9 @@
 tree, running the engine on its lobes only; ``_engine_certificate`` runs the
 engine on the whole graph.  Two inputs must get equal tree certificates
 exactly when they get equal engine certificates.  ``find_isomorphism``
-stops its second search at the first graph's canonical form, and must
-still give the mapping of two full engine searches.
+jumps back in both of its searches and stops the second one at the first
+graph's canonical form, and must still give the mapping of two full engine
+searches.
 """
 
 import json
@@ -211,7 +212,8 @@ def _assert_same_mapping(g1, g2, colors1=None, colors2=None):
 @pytest.mark.parametrize("make", [
     pytest.param(lambda name=name: _truncation(BY_NAME[name], 2),
                  id=f"{name}_d2")
-    for name in ("k4_uniform", "kst_one_each", "kst_two_images")] + [
+    for name in ("k4_uniform", "kst_one_each", "kst_two_images",
+                 "chord5cyc")] + [
     pytest.param(lambda args=args: named_graph(*args),
                  id="_".join(map(str, args)))
     for args in (("petersen",), ("holt",), ("complete_bipartite", 3, 3),
@@ -281,6 +283,34 @@ def test_stopped_search_visits_a_tenth_of_the_nodes(monkeypatch):
     nodes["full"] = 0
     _run_engine(h)
     assert nodes["stopped"] * 10 < nodes["full"], nodes
+
+
+def test_find_isomorphism_visits_under_three_quarters_of_a_full_search(
+        monkeypatch):
+    # canon-large's graphs: with jump-back, g1's search plus g2's stopped
+    # one visit fewer nodes than one full search; without, they visit more
+    sizes = []
+    real_node = symmetry._Engine._node
+
+    def counted(engine, *args):
+        sizes.append(engine.n)
+        return real_node(engine, *args)
+
+    monkeypatch.setattr(symmetry._Engine, "_node", counted)
+    for name in ("k4_uniform", "kst_one_each", "kst_two_images"):
+        g = _truncation(BY_NAME[name], 2)
+        rng = random.Random(5)
+        iso = full = 0
+        for _ in range(5):
+            g1, _ = _relabel(g, rng)
+            g2, _ = _relabel(g, rng)
+            sizes.clear()
+            assert find_isomorphism(g1, g2) is not None
+            iso += sizes.count(g.vertex_count)  # not the lobes' searches
+            sizes.clear()
+            _run_engine(g1)
+            full += len(sizes)
+        assert iso * 4 < full * 3, (name, iso, full)
 
 
 def test_find_isomorphism_rejects_by_colour_signature(monkeypatch):

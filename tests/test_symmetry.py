@@ -11,14 +11,15 @@ from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
 from lobes.decomposition import decompose, lobe_classes
 from lobes.graph import make_graph, relabel_graph
-from lobes.symmetry import (GeneratorSet, automorphism_generators,
-                            canonical_certificate,
+from lobes.symmetry import (GeneratorSet, _color_cells, _Engine,
+                            automorphism_generators, canonical_certificate,
                             compose, find_isomorphism, generator_set,
                             group_order, inverse_perm, is_automorphism,
                             lobe_stabilizer, orbit_partition, restrict_to)
 
 from brute import backtracking_isomorphism, brute_automorphisms
-from enumeration import connected_graphs_up_to, random_connectivity_one_graph
+from enumeration import (all_graphs_up_to, connected_graphs_up_to,
+                         random_connectivity_one_graph)
 
 
 def _all_graphs(n):
@@ -374,3 +375,46 @@ def test_only_search_results_carry_an_order():
 def test_recorded_order_ignores_the_degree_bound():
     gens = automorphism_generators(named_graph("path", 12))
     assert group_order(gens, degree_bound=5) == 2
+
+
+# ---------------------------------------------------------------------------
+# Jump-back against the full search
+# ---------------------------------------------------------------------------
+
+def _assert_jump_back_exact(g, colors=None):
+    """The jump-back search keeps the full search's key, labeling and order."""
+    cells, _ = _color_cells(g.vertex_count, colors)
+    key, lab, _, order = _Engine(g, cells).run()
+    jkey, jlab, _, jorder = _Engine(g, cells, jump=True).run()
+    assert (jkey, jlab, jorder) == (key, lab, order), (g.edges, colors)
+
+
+def test_jump_back_is_exact_on_all_small_graphs():
+    rng = random.Random(14)
+    for graphs in all_graphs_up_to(7).values():
+        for g in graphs:
+            _assert_jump_back_exact(g)
+            _assert_jump_back_exact(
+                g, [rng.randrange(2) for _ in range(g.vertex_count)])
+
+
+def test_jump_back_is_exact_on_random_block_trees():
+    rng = random.Random(2014)
+    for _ in range(300):
+        g = random_connectivity_one_graph(rng, max_vertices=24)
+        _assert_jump_back_exact(g)
+        _assert_jump_back_exact(
+            g, [rng.randrange(2) for _ in range(g.vertex_count)])
+
+
+def test_jump_back_is_exact_on_fixture_truncations():
+    rng = random.Random(81)
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        spec = validate_spec(json.loads(path.read_text()))
+        # petersen_balanced's full search at depth 2 takes seconds
+        depths = (1,) if path.stem == "petersen_balanced" else (1, 2)
+        for depth in depths:
+            g = build_truncation(with_depth(spec, depth)).graph
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            _assert_jump_back_exact(relabel_graph(g, perm))
