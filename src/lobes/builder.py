@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain, compress, cycle, repeat
+from operator import add, mul, not_
+from typing import NamedTuple
 
 from .decomposition import _lobe_tree_codes, connectivity_class
-from .graph import Graph, GraphError, bipartition, make_graph
+from .graph import (Graph, GraphError, _sorted_graph, bipartition,
+                    make_graph)
 from .symmetry import (GeneratorSet, _engine_certificate,
                        automorphism_generators, canonical_certificate,
                        generator_set, orbit_partition)
@@ -50,8 +54,7 @@ class BuildSpec:
     depth: int
 
 
-@dataclass(frozen=True)
-class LobeRecord:
+class LobeRecord(NamedTuple):
     """One registered lobe copy: creation depth and its embedding map.
 
     ``sigma[i]`` is the truncation vertex carrying seed vertex i.
@@ -92,8 +95,8 @@ def validate_spec(doc: dict) -> BuildSpec:
 
     lam_doc = doc["lambda0"]
     try:
-        lambda0 = make_graph(int(lam_doc["n"]),
-                             [tuple(e) for e in lam_doc["edges"]])
+        _require_ints([lam_doc["n"]], "n")
+        lambda0 = make_graph(lam_doc["n"], [tuple(e) for e in lam_doc["edges"]])
     except (GraphError, KeyError, TypeError, ValueError) as exc:
         raise BuildSpecError(f"bad lambda0: {exc}") from exc
     conn = connectivity_class(lambda0)
@@ -110,6 +113,8 @@ def validate_spec(doc: dict) -> BuildSpec:
         if not isinstance(h_doc, list):
             raise BuildSpecError('"h" must be "aut" or a list of permutations')
         try:
+            for p in h_doc:
+                _require_ints(p, "image")
             h_gens = generator_set(h_doc, n0, "user", graph=lambda0)
         except (TypeError, ValueError) as exc:
             raise BuildSpecError(f"bad subgroup generator: {exc}") from exc
@@ -123,10 +128,8 @@ def validate_spec(doc: dict) -> BuildSpec:
     seen: set[int] = set()
     r_cells = []
     for cell in r_raw:
-        try:
-            cell = tuple(sorted(int(v) for v in cell))
-        except (TypeError, ValueError) as exc:
-            raise BuildSpecError(f"bad r_partition cell {cell!r}") from exc
+        _require_ints(cell, "r_partition vertex")
+        cell = tuple(sorted(cell))
         if not cell:
             raise BuildSpecError("empty cell in r_partition")
         for v in cell:
@@ -157,7 +160,8 @@ def validate_spec(doc: dict) -> BuildSpec:
     seen_k: set[int] = set()
     for entry in doc["mu"]:
         try:
-            k = int(entry["k"])
+            k = entry["k"]
+            _require_ints([k], "mu cell index")
             values = entry["values"]
             if not isinstance(values, dict):
                 raise TypeError("values must be an object")
@@ -208,6 +212,13 @@ def validate_spec(doc: dict) -> BuildSpec:
                      tuple(tuple(row) for row in mu), depth)
 
 
+def _require_ints(values, what: str) -> None:
+    """Refuse any value that is not a JSON integer (bools included)."""
+    for v in values:
+        if type(v) is not int:
+            raise BuildSpecError(f"{what} {v!r} is not an integer")
+
+
 def spec_to_json_dict(spec: BuildSpec) -> dict:
     h: object = "aut" if spec.h_source == "aut" else [
         list(p) for p in spec.h_generators.generators]
@@ -242,44 +253,60 @@ def build_truncation(spec: BuildSpec,
         for v in cell:
             q_of_local[v] = j
 
+    # A copy attached at q-cell j carries its anchor q_cells[j][0] to the
+    # frontier vertex w and the other seed vertices, in ascending order, to
+    # fresh ids; its id list is [w, fresh...], and ``pos[x]`` is seed vertex
+    # x's position in it.  Ids increase with position (w is older than any
+    # fresh id), so each seed edge becomes a position pair (p, q) with p < q
+    # and the copy's edge (ids[p], ids[q]) is already normalized.
+    plans = []
+    for cell in spec.q_cells:
+        anchor = cell[0]
+        pos = [x + 1 if x < anchor else x for x in range(n0)]
+        pos[anchor] = 0
+        ps, qs = zip(*(sorted((pos[u], pos[v])) for u, v in lam.edges))
+        plans.append((pos, ps, qs,
+                      [q_of_local[x] for x in range(n0) if x != anchor]))
+    # demand[j0]: (plan, copies) for a frontier vertex at q-cell j0
+    demand = []
+    for j0, k in enumerate(spec.r_of_q):
+        demand.append([(plans[j], need) for j in range(len(spec.q_cells))
+                       if spec.r_of_q[j] == k
+                       and (need := spec.mu[k][j] - (j == j0)) > 0])
+    copies_at = [sum(need for _, need in row) for row in demand]
+
     edges = list(lam.edges)
     lobes = [LobeRecord(0, 0, tuple(range(n0)))]
     vertex_depth = [0] * n0
     next_id = n0
-    frontier = [(v, q_of_local[v]) for v in range(n0)]
+    frontier = range(n0)
+    frontier_cells = q_of_local
 
     for stage in range(1, spec.depth + 1):
-        new_frontier = []
-        for w, j0 in frontier:
-            k = spec.r_of_q[j0]
-            for j in range(len(spec.q_cells)):
-                if spec.r_of_q[j] != k:
-                    continue
-                need = spec.mu[k][j] - (1 if j == j0 else 0)
+        # the stage's copies take fresh ids in one block, in creation order
+        count = sum(map(copies_at.__getitem__, frontier_cells)) * (n0 - 1)
+        if next_id + count > max_vertices:
+            raise ResourceCapError(
+                f"truncation exceeds {max_vertices} vertices at stage {stage}")
+        new_frontier = range(next_id, next_id + count)
+        new_cells: list[int] = []
+        for w, j0 in zip(frontier, frontier_cells):
+            for (pos, ps, qs, cells), need in demand[j0]:
                 for _ in range(need):
-                    if next_id + n0 - 1 > max_vertices:
-                        raise ResourceCapError(
-                            f"truncation exceeds {max_vertices} vertices at "
-                            f"stage {stage}")
-                    anchor = spec.q_cells[j][0]
-                    sigma = [0] * n0
-                    for local in range(n0):
-                        if local == anchor:
-                            sigma[local] = w
-                        else:
-                            sigma[local] = next_id
-                            vertex_depth.append(stage)
-                            new_frontier.append((next_id, q_of_local[local]))
-                            next_id += 1
-                    for u, v in lam.edges:
-                        a, b = sigma[u], sigma[v]
-                        edges.append((a, b) if a < b else (b, a))
-                    lobes.append(LobeRecord(len(lobes), stage, tuple(sigma)))
-        frontier = new_frontier
+                    ids = [w, *range(next_id, next_id + n0 - 1)]
+                    at = ids.__getitem__
+                    edges += zip(map(at, ps), map(at, qs))
+                    lobes.append(LobeRecord(len(lobes), stage,
+                                            tuple(map(at, pos))))
+                    new_cells += cells
+                    next_id += n0 - 1
+        vertex_depth += [stage] * count
+        frontier, frontier_cells = new_frontier, new_cells
 
-    graph = make_graph(next_id, edges)
-    return BuildResult(graph, lam, tuple(lobes), tuple(vertex_depth),
-                       spec.depth)
+    # every copy's edges meet one of its fresh vertices, so no edge repeats
+    edges.sort()
+    return BuildResult(_sorted_graph(next_id, edges), lam, tuple(lobes),
+                       tuple(vertex_depth), spec.depth)
 
 
 @dataclass(frozen=True)
@@ -302,31 +329,38 @@ def verify_interior(result: BuildResult, spec: BuildSpec) -> InteriorReport:
     for j, cell in enumerate(spec.q_cells):
         for v in cell:
             q_of_local[v] = j
-    memberships: list[list[int]] = [[] for _ in range(result.graph.vertex_count)]
-    for rec in result.lobes:
-        if len(rec.sigma) != n0:
-            raise BuildSpecError("lobe registry does not match the seed lobe")
-        for local, v in enumerate(rec.sigma):
-            memberships[v].append(q_of_local[local])
-    violations = []
+    sigmas = [rec.sigma for rec in result.lobes]
+    if any(len(sigma) != n0 for sigma in sigmas):
+        raise BuildSpecError("lobe registry does not match the seed lobe")
     n_q = len(spec.q_cells)
-    for v, mems in enumerate(memberships):
-        if result.vertex_depth[v] >= result.depth:
-            if len(mems) != 1:
-                violations.append((v, "frontier", len(mems)))
+    # counts[v * n_q + j], then rows[v][j]: the lobes holding vertex v at a
+    # position in q-cell j
+    counts = [0] * (result.graph.vertex_count * n_q)
+    for key in map(add, map(mul, chain.from_iterable(sigmas), repeat(n_q)),
+                   cycle(q_of_local)):
+        counts[key] += 1
+    rows = list(zip(*[iter(counts)] * n_q))
+    frontier = [d >= result.depth for d in result.vertex_depth]
+    # a frontier row has one membership; an interior row is the mu row of
+    # the one r-cell its memberships lie in
+    frontier_ok = {tuple(int(i == j) for j in range(n_q)) for i in range(n_q)}
+    interior_ok = {row for k, row in enumerate(spec.mu)
+                   if {spec.r_of_q[j] for j, c in enumerate(row) if c} == {k}}
+    if frontier_ok.issuperset(compress(rows, frontier)) and \
+            interior_ok.issuperset(compress(rows, map(not_, frontier))):
+        return InteriorReport(True, ())
+    violations = []
+    for v, row in enumerate(rows):
+        if frontier[v]:
+            if sum(row) != 1:
+                violations.append((v, "frontier", sum(row)))
             continue
-        ks = {spec.r_of_q[j] for j in mems}
+        ks = sorted({spec.r_of_q[j] for j, c in enumerate(row) if c})
         if len(ks) != 1:
-            violations.append((v, "mixed_cells", sorted(ks)))
+            violations.append((v, "mixed_cells", ks))
             continue
-        k = ks.pop()
-        counts = [0] * n_q
-        for j in mems:
-            counts[j] += 1
-        for j in range(n_q):
-            want = spec.mu[k][j]
-            if counts[j] != want:
-                violations.append((v, "count", j, counts[j], want))
+        violations += [(v, "count", j, c, want) for j, (c, want)
+                       in enumerate(zip(row, spec.mu[ks[0]])) if c != want]
     return InteriorReport(not violations, tuple(violations))
 
 
@@ -464,7 +498,7 @@ def verify_local_transitivity(result: BuildResult,
         raise ValueError("radius must be nonnegative")
     lobes_at: list[list[int]] = [[] for _ in range(result.graph.vertex_count)]
     for rec in result.lobes:
-        for v in set(rec.sigma):
+        for v in rec.sigma:  # an embedding: no vertex twice
             lobes_at[v].append(rec.lobe_id)
     roots = [(rec.lobe_id, None, radius) for rec in result.lobes
              if rec.depth <= result.depth - radius]

@@ -5,6 +5,12 @@ Human-readable text by default; ``--json`` switches to machine output.
 
 Exit codes: 0 success, 1 negative answer (equiv/iso), 2 usage error,
 3 input error, 4 resource cap exceeded or search recursion too deep.
+
+Every JSON document, on stdout or in the ``build -o`` sidecar, is written by
+``_json_text``, whose output is ``json.dumps(doc, indent=2,
+sort_keys=True)`` byte for byte.  It writes dicts with str keys, lists,
+tuples, ints and strs itself, a list of ints in one join, and hands every
+other value to ``json``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import contextlib
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .builder import (ResourceCapError, build_truncation, classify_limit,
                       spec_equivalent, validate_spec)
@@ -69,7 +76,54 @@ def _output_file(path: str):
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_json_text(doc))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+_INT = frozenset((int,))
+_STR = frozenset((str,))
+
+
+def _write_json(x, nl: str, out: list[str]) -> None:
+    """Append the text of ``x`` to ``out``; ``nl`` starts a line at x's
+    indent.  ``json`` indents no line inside a string, so a value it writes
+    is re-indented by replacing its newlines."""
+    t = type(x)
+    if t is str:
+        out.append(encode_basestring_ascii(x))
+    elif t is int:
+        out.append(repr(x))
+    elif (t is list or t is tuple) and x:
+        inner = nl + "  "
+        if _INT.issuperset(map(type, x)):
+            out.append(f"[{inner}{(',' + inner).join(map(repr, x))}{nl}]")
+            return
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and x and _STR.issuperset(map(type, x)):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            value = x[key]
+            out += (sep, encode_basestring_ascii(key), ": ")
+            if type(value) is int:
+                out.append(repr(value))
+            else:
+                _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", nl))
 
 
 def _cmd_decompose(args) -> int:
@@ -174,8 +228,7 @@ def _cmd_build(args) -> int:
         with _output_file(args.output) as fh:
             fh.write(text)
         with _output_file(args.output + ".json") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(sidecar) + "\n")
         if not args.json:
             print(f"wrote {result.graph.vertex_count} vertices, "
                   f"{result.graph.edge_count} edges, "

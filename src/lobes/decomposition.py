@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, induced_subgraph, is_connected, make_graph
+from .graph import Graph, _sorted_graph, induced_subgraph
 from .symmetry import (GeneratorSet, _engine_certificate, _run_engine,
                        inverse_perm, orbit_partition)
 
@@ -33,12 +33,14 @@ class Lobe:
         joining two of its vertices would keep it biconnected (or, for a cut
         edge, is that edge), so maximality puts the edge in the lobe.
         """
-        return make_graph(len(self.vertices), self.local_edges()), self.vertices
+        return (_sorted_graph(len(self.vertices), self.local_edges()),
+                self.vertices)
 
     def local_edges(self) -> tuple[tuple[int, int], ...]:
         """``edges`` on local ids; the relabeling is monotone, so sorted."""
-        local = {v: x for x, v in enumerate(self.vertices)}
-        return tuple((local[u], local[v]) for u, v in self.edges)
+        local = dict(zip(self.vertices, range(len(self.vertices)))).__getitem__
+        us, vs = zip(*self.edges)
+        return tuple(zip(map(local, us), map(local, vs)))
 
 
 @dataclass(frozen=True)
@@ -85,87 +87,107 @@ def connectivity_class(g: Graph) -> str:
     vertices) are binned under "disconnected".
     """
     n = g.vertex_count
-    if n <= 1 or not is_connected(g):
+    if n <= 1:
+        return "disconnected"
+    blocks, components = _biconnected_edge_groups(g)
+    if components != 1:
         return "disconnected"
     if n == 2:
         return "single_K2"
-    one_piece = len(_biconnected_edge_groups(g)) == 1
-    return "biconnected" if one_piece else "connectivity_one"
+    return "biconnected" if len(blocks) == 1 else "connectivity_one"
 
 
 def decompose(g: Graph) -> LobeDecomposition:
     """Compute the lobe decomposition of a connected graph with >= 1 edge."""
     if g.edge_count == 0:
         raise DecompositionError("cannot decompose an edgeless graph")
-    if not is_connected(g):
+    blocks, components = _biconnected_edge_groups(g)
+    if components != 1:
         raise DecompositionError("cannot decompose a disconnected graph")
-    return _decomposition(g.vertex_count, _biconnected_edge_groups(g))
+    return _decomposition(g.vertex_count, blocks)
 
 
-def _decomposition(n: int, groups: list[list[tuple[int, int]]]
-                   ) -> LobeDecomposition:
+def _decomposition(n: int, blocks) -> LobeDecomposition:
     """The decomposition of a connected graph on n vertices from its
     ``_biconnected_edge_groups``, which are sorted in place."""
-    groups.sort(key=lambda edges: edges[0])
-    lobes = []
-    for edges in groups:
-        vertices = sorted({v for e in edges for v in e})
-        lobes.append(Lobe(tuple(vertices), tuple(edges)))
+    blocks.sort(key=lambda block: block[1][0])
+    lobes = [Lobe(tuple(sorted(vertices)), tuple(edges))
+             for vertices, edges in blocks]
     lobes_at: list[list[int]] = [[] for _ in range(n)]
     for i, lobe in enumerate(lobes):
         for v in lobe.vertices:
             lobes_at[v].append(i)
     cut_vertices = tuple(v for v in range(n) if len(lobes_at[v]) >= 2)
-    tree_edges = tuple(sorted(
-        (i, v) for v in cut_vertices for i in lobes_at[v]))
+    # lobe by lobe, each lobe's vertices ascending: already sorted
+    tree_edges = tuple((i, v) for i, lobe in enumerate(lobes)
+                       for v in lobe.vertices if len(lobes_at[v]) >= 2)
     return LobeDecomposition(tuple(lobes), cut_vertices, tree_edges,
-                             tuple(tuple(l) for l in lobes_at))
+                             tuple(map(tuple, lobes_at)))
 
 
-def _biconnected_edge_groups(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected pieces, each sorted, via iterative DFS."""
+def _biconnected_edge_groups(g: Graph):
+    """The blocks of g as ``(vertices, edges)`` pairs, and g's number of
+    connected components.
+
+    One iterative DFS keeps the discovered vertices on a stack (Hopcroft &
+    Tarjan 1973).  When it backs up from v to its parent u with
+    ``low[v] >= disc[u]``, the vertices from v to the top of the stack,
+    with u, form a block.  An edge lies in the block in which its
+    later-discovered endpoint leaves the stack, so one pass over the sorted
+    ``g.edges`` fills every block's edge list, already sorted.  Vertex lists
+    are in no particular order.  ``low`` also takes the tree edge to the
+    parent: that can lower ``low[v]`` to ``disc[u]`` but not below, which
+    leaves the test and every block as they are in a simple graph.
+    """
     n = g.vertex_count
+    adjacency = g.adjacency
     disc = [-1] * n
     low = [0] * n
-    groups: list[list[tuple[int, int]]] = []
-    edge_stack: list[tuple[int, int]] = []
+    at = [0] * n  # a vertex's position on the vertex stack
+    block_of = [0] * n
+    vertex_stack: list[int] = []
+    vertex_sets: list[list[int]] = []
     timer = 0
+    components = 0
     for root in range(n):
         if disc[root] != -1:
             continue
+        components += 1
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, -1, iter(g.adjacency[root]))]
+        stack = [(root, iter(adjacency[root]))]
         while stack:
-            v, parent, nbrs = stack[-1]
-            advanced = False
+            v, nbrs = stack[-1]
             for w in nbrs:
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
+                dw = disc[w]
+                if dw == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(g.adjacency[w])))
-                    advanced = True
+                    at[w] = len(vertex_stack)
+                    vertex_stack.append(w)
+                    stack.append((w, iter(adjacency[w])))
                     break
-                if w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                group = []
-                while True:
-                    e = edge_stack.pop()
-                    group.append(e if e[0] < e[1] else (e[1], e[0]))
-                    if e == (u, v):
-                        break
-                groups.append(sorted(group))
-    return groups
+                if dw < low[v]:
+                    low[v] = dw
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] >= disc[u]:
+                    members = vertex_stack[at[v]:]
+                    del vertex_stack[at[v]:]
+                    for x in members:
+                        block_of[x] = len(vertex_sets)
+                    members.append(u)
+                    vertex_sets.append(members)
+                elif low[v] < low[u]:
+                    low[u] = low[v]
+    groups: list[list[tuple[int, int]]] = [[] for _ in vertex_sets]
+    for e in g.edges:
+        a, b = e
+        groups[block_of[b] if disc[b] > disc[a] else block_of[a]].append(e)
+    return list(zip(vertex_sets, groups)), components
 
 
 def _lobe_tree_codes(shapes, lobes, lobes_at, roots, colors=None):
@@ -228,12 +250,12 @@ def _lobe_tree_certificate(g: Graph, colors=None) -> bytes | None:
     lobes (a cut vertex lies in two or more), so the centre is one node: a
     lobe, or a cut vertex whose lobes are the roots.
     """
-    if g.vertex_count < 3 or not is_connected(g):
+    if g.vertex_count < 3:
         return None
-    groups = _biconnected_edge_groups(g)
-    if len(groups) < 2:
+    blocks, components = _biconnected_edge_groups(g)
+    if components != 1 or len(blocks) < 2:
         return None
-    d = _decomposition(g.vertex_count, groups)
+    d = _decomposition(g.vertex_count, blocks)
     # tree nodes: lobe i as i, cut vertex v as ~v
     adj = {i: [~v for v in lobe.vertices if len(d.lobes_at[v]) > 1]
            for i, lobe in enumerate(d.lobes)}
@@ -252,7 +274,7 @@ def _lobe_tree_certificate(g: Graph, colors=None) -> bytes | None:
     shape_of: dict[tuple, int] = {}
     lobes = [(shape_of.setdefault(lobe.local_edges(), len(shape_of)),
               lobe.vertices) for lobe in d.lobes]
-    shapes = [make_graph(max(max(e) for e in edges) + 1, edges)
+    shapes = [_sorted_graph(max(max(e) for e in edges) + 1, edges)
               for edges in shape_of]
     roots = [(centre, None, None)] if centre >= 0 else \
         [(i, ~centre, None) for i in d.lobes_at[~centre]]
@@ -288,7 +310,9 @@ class LobeClasses:
 def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
     """Group lobes by isomorphism and install consistent orbit labels, all
     from one engine run per distinct lobe (equal local edge tuples)."""
-    runs: dict[tuple, tuple] = {}
+    # local edges -> (class, sigma's positions in the lobe's vertex tuple,
+    # the labelled vertices' positions in label order, their labels)
+    plans: dict[tuple, tuple] = {}
     by_key: dict[tuple, int] = {}
     class_of: list[int] = []
     reps: list[int] = []
@@ -300,23 +324,30 @@ def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
     for i, lobe in enumerate(d.lobes):
         # a lobe has no isolated vertex, so its edges fix the vertex count
         edges = lobe.local_edges()
-        if edges not in runs:
-            runs[edges] = _run_engine(make_graph(len(lobe.vertices), edges))
-        key, lab, gens, _, order = runs[edges]
-        k = by_key.setdefault(key, len(reps))
-        if k == len(reps):
-            reps.append(i)
-            rep_labs.append(lab)
-            rep_gens.append(GeneratorSet(len(lobe.vertices), tuple(gens),
-                                         "aut", order))
-            # local order is original order, so cells sort by minimal vertex
-            rep_cells.append(orbit_partition(rep_gens[k], "vertices").cells)
+        plan = plans.get(edges)
+        if plan is None:
+            key, lab, gens, _, order = _run_engine(
+                _sorted_graph(len(lobe.vertices), edges))
+            k = by_key.setdefault(key, len(reps))
+            if k == len(reps):
+                reps.append(i)
+                rep_labs.append(lab)
+                rep_gens.append(GeneratorSet(len(lobe.vertices), tuple(gens),
+                                             "aut", order))
+                # local order is original order, so cells sort by minimal
+                # vertex
+                rep_cells.append(
+                    orbit_partition(rep_gens[k], "vertices").cells)
+            lab_inv = inverse_perm(lab)
+            pos = [lab_inv[x] for x in rep_labs[k]]
+            plan = plans[edges] = (
+                k, pos, [pos[x] for cell in rep_cells[k] for x in cell],
+                [j for j, cell in enumerate(rep_cells[k]) for _ in cell])
+        k, pos, labelled, labels = plan
+        at = lobe.vertices.__getitem__
         class_of.append(k)
-        lab_inv = inverse_perm(lab)
-        sig = tuple(lobe.vertices[lab_inv[x]] for x in rep_labs[k])
-        sigma.append(sig)
-        vertex_label.append({sig[x]: j for j, cell in enumerate(rep_cells[k])
-                             for x in cell})
+        sigma.append(tuple(map(at, pos)))
+        vertex_label.append(dict(zip(map(at, labelled), labels)))
     label_counts = tuple(len(cells) for cells in rep_cells)
     return LobeClasses(tuple(class_of), tuple(reps), tuple(sigma),
                        tuple(vertex_label), label_counts, tuple(rep_gens))

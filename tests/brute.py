@@ -155,3 +155,46 @@ def naive_expansion(lambda0: Graph, q_cells, r_of_q, mu) -> Graph:
                 copy_no += 1
     index = {node: i for i, node in enumerate(nodes)}
     return make_graph(len(nodes), [(index[a], index[b]) for a, b in edges])
+
+
+def brute_blocks(g: Graph) -> set[frozenset]:
+    """Edge sets of the blocks: two edges share a block iff one cycle holds
+    both, and an edge on no cycle is a block of its own.  Cycles are found
+    by trying every cyclic order of every vertex subset."""
+    block = {e: frozenset((e,)) for e in g.edges}
+    n = g.vertex_count
+    for k in range(3, n + 1):
+        for cycle in itertools.permutations(range(n), k):
+            if cycle[0] != min(cycle) or cycle[1] > cycle[-1]:
+                continue  # one order per cycle
+            edges = [tuple(sorted((cycle[i], cycle[(i + 1) % k])))
+                     for i in range(k)]
+            if all(g.has_edge(u, v) for u, v in edges):
+                merged = frozenset().union(*(block[e] for e in edges))
+                for e in merged:
+                    block[e] = merged
+    return set(block.values())
+
+
+def recount_interior(result, spec) -> list[tuple]:
+    """``verify_interior``'s violations, from per-vertex membership lists."""
+    q_of_local = {v: j for j, cell in enumerate(spec.q_cells) for v in cell}
+    memberships: list[list[int]] = [[] for _ in range(result.graph.vertex_count)]
+    for rec in result.lobes:
+        for local, v in enumerate(rec.sigma):
+            memberships[v].append(q_of_local[local])
+    violations = []
+    for v, mems in enumerate(memberships):
+        if result.vertex_depth[v] >= result.depth:
+            if len(mems) != 1:
+                violations.append((v, "frontier", len(mems)))
+            continue
+        ks = {spec.r_of_q[j] for j in mems}
+        if len(ks) != 1:
+            violations.append((v, "mixed_cells", sorted(ks)))
+            continue
+        k = ks.pop()
+        for j in range(len(spec.q_cells)):
+            if mems.count(j) != spec.mu[k][j]:
+                violations.append((v, "count", j, mems.count(j), spec.mu[k][j]))
+    return violations

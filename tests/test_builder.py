@@ -15,6 +15,7 @@ from lobes.builder import (BuildSpecError, LobeRecord, BuildResult,
 from lobes.graph import make_graph, serialize_graph
 from lobes.symmetry import automorphism_generators, canonical_certificate
 
+from brute import recount_interior
 from enumeration import random_spec_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -120,6 +121,28 @@ def test_bad_mu_values_rejected():
                                     {"k": 1, "values": {"1": 2}}]))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"lambda0": {"n": 5, "edges": [[0, True], [1, 2], [2, 3], [3, 4],
+                                    [0, 4], [0, 2]]}}, "vertex id True"),
+    ({"lambda0": {"n": 5, "edges": [[0, 1.0], [1, 2], [2, 3], [3, 4],
+                                    [0, 4], [0, 2]]}}, "vertex id 1.0"),
+    ({"lambda0": {"n": 5.9, "edges": [[0, 1], [1, 2], [2, 3], [3, 4],
+                                      [0, 4], [0, 2]]}}, "n 5.9"),
+    ({"lambda0": {"n": True, "edges": []}}, "n True"),
+    ({"r_partition": [[0, 2, 3, 4], [1.7]]}, "vertex 1.7"),
+    ({"r_partition": [[0, 2, 3, 4], ["1"]]}, "vertex '1'"),
+    ({"r_partition": [[0, 2, 3, 4], [True]]}, "vertex True"),
+    ({"mu": [{"k": 0.0, "values": {"0": 3, "2": 1}},
+             {"k": 1, "values": {"1": 2}}]}, "index 0.0"),
+    ({"h": [[True, 0, 2, 4, 3]]}, "image True"),
+], ids=["edge_id_bool", "edge_id_float", "n_float", "n_bool",
+        "partition_float", "partition_str", "partition_bool", "k_float",
+        "h_bool"])
+def test_ids_must_be_json_integers(overrides, message):
+    with pytest.raises(BuildSpecError, match=f"{message} is not an integer"):
+        validate_spec(chord_doc(**overrides))
+
+
 def test_bad_partition_and_depth_rejected():
     with pytest.raises(BuildSpecError, match="cover"):
         validate_spec(chord_doc(r_partition=[[0, 2, 3], [1]]))
@@ -198,6 +221,28 @@ def test_interior_recount_catches_tampering():
     tampered = dataclasses.replace(result, lobes=result.lobes[:-1])
     report = verify_interior(tampered, spec)
     assert not report.ok and report.violations
+
+
+def test_interior_violations_equal_a_per_vertex_recount():
+    rng = random.Random("interior")
+    for path in sorted(FIXTURES.glob("*.json")):
+        spec = with_depth(validate_spec(json.loads(path.read_text())), 2)
+        result = build_truncation(spec)
+        lobes = list(result.lobes)
+        variants = [result.lobes, lobes[:-1], lobes + lobes[-1:],
+                    lobes[:1] + lobes[2:]]
+        for _ in range(5):
+            i = rng.randrange(len(lobes))
+            sigma = list(lobes[i].sigma)
+            sigma[rng.randrange(len(sigma))] = rng.randrange(
+                result.graph.vertex_count)
+            variants.append(lobes[:i] + [lobes[i]._replace(
+                sigma=tuple(sigma))] + lobes[i + 1:])
+        for variant in variants:
+            tampered = dataclasses.replace(result, lobes=tuple(variant))
+            report = verify_interior(tampered, spec)
+            assert list(report.violations) == recount_interior(tampered, spec)
+            assert report.ok == (not report.violations)
 
 
 def test_interior_rejects_mismatched_pair():

@@ -265,5 +265,35 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, argv, code):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("edges", [[0, True], [1, 2], [0, 2]]),
+    ("edges", [[0, 1.0], [1, 2], [0, 2]]),
+    ("n", 3.9),
+    ("n", 3.0),
+    ("r_partition", [[0, 1.7, 2]]),
+    ("r_partition", [[0, "1", 2]]),
+    ("k", 0.0),
+], ids=["edge_id_true", "edge_id_float", "n_fraction", "n_float",
+        "partition_float", "partition_str", "mu_k_float"])
+def test_non_integer_spec_ids_exit_3(tmp_path, capsys, field, value):
+    doc = {"lambda0": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+           "h": "aut", "r_partition": [[0, 1, 2]],
+           "mu": [{"k": 0, "values": {"0": 2}}], "depth": 1}
+    if field in ("n", "edges"):
+        doc["lambda0"][field] = value
+    elif field == "k":
+        doc["mu"][0]["k"] = value
+    else:
+        doc[field] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    graph = tmp_path / "out.g"
+    assert run_cli(["build", str(spec), "-o", str(graph)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "is not an integer" in err[0]
+    assert not graph.exists()
+
+
 def test_named_unknown(capsys):
     assert run_cli(["named", "mystery"]) == 3

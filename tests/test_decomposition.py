@@ -9,15 +9,16 @@ import pytest
 from lobes import symmetry
 from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
-from lobes.decomposition import (DecompositionError, connectivity_class,
+from lobes.decomposition import (DecompositionError,
+                                 _biconnected_edge_groups, connectivity_class,
                                  decompose, lobe_ball, lobe_classes,
                                  lobe_distances)
-from lobes.graph import induced_subgraph, make_graph
+from lobes.graph import induced_subgraph, make_graph, relabel_graph
 from lobes.symmetry import (automorphism_generators, find_isomorphism,
                             group_order, is_automorphism, orbit_partition)
 
-from brute import brute_automorphisms, brute_is_cut_vertex
-from enumeration import random_connectivity_one_graph
+from brute import brute_automorphisms, brute_blocks, brute_is_cut_vertex
+from enumeration import all_graphs_up_to, random_connectivity_one_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -270,3 +271,32 @@ def test_three_glued_chorded_cycles_form_one_class():
     for i in range(3):
         for j in range(3):
             assert find_isomorphism(subs[i], subs[j]) is not None
+
+
+def _component_count(g) -> int:
+    root = list(range(g.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    return sum(find(v) == v for v in range(g.vertex_count))
+
+
+def test_blocks_equal_the_brute_force_partition():
+    rng = random.Random("blocks")
+    for graphs in all_graphs_up_to(6).values():
+        for g0 in graphs:
+            perm = list(range(g0.vertex_count))
+            rng.shuffle(perm)
+            for g in (g0, relabel_graph(g0, perm)):
+                blocks, components = _biconnected_edge_groups(g)
+                assert components == _component_count(g)
+                assert {frozenset(edges) for _, edges in blocks} == \
+                    brute_blocks(g), g.edges
+                for vertices, edges in blocks:
+                    assert edges == sorted(edges)
+                    assert sorted(vertices) == sorted({v for e in edges
+                                                       for v in e})
