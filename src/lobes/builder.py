@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .decomposition import _lobe_tree_codes, connectivity_class
 from .graph import (Graph, GraphError, _sorted_graph, bipartition,
                     make_graph)
-from .symmetry import (GeneratorSet, _engine_certificate,
+from .symmetry import (GeneratorSet, _aut_group, _engine_certificate,
                        automorphism_generators, canonical_certificate,
                        generator_set, orbit_partition)
 from .transitivity import _arc_pattern, _edge_pattern
@@ -412,7 +412,7 @@ def classify_limit(spec: BuildSpec) -> LimitReport:
     against truncations; sufficiency is not proved.
     """
     lam = spec.lambda0
-    aut = automorphism_generators(lam)
+    aut = _aut_group(lam)
     aut_orbits = orbit_partition(aut, "vertices")
     o_index = aut_orbits.cell_index()
     n_k = len(spec.r_cells)

@@ -4,7 +4,8 @@ Subcommands: decompose, aut, classify, karc, build, limit, equiv, iso, named.
 Human-readable text by default; ``--json`` switches to machine output.
 
 Exit codes: 0 success, 1 negative answer (equiv/iso), 2 usage error,
-3 input error, 4 resource cap exceeded or search recursion too deep.
+3 input error or a closed stdout, 4 resource cap exceeded or search
+recursion too deep.
 
 Every JSON document, on stdout or in the ``build -o`` sidecar, is written by
 ``_json_text``, whose output is ``json.dumps(doc, indent=2,
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -385,4 +387,14 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (``| head``); the flush at interpreter exit
+        # would raise again, so it goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        code = EXIT_INPUT
+    sys.exit(code)

@@ -293,7 +293,8 @@ class LobeClasses:
     transported from the representative's automorphism orbits, so that every
     isomorphism between class members preserves labels.
     ``rep_generators[k]`` generates Aut of class k's representative, in the
-    local ids of its ``Lobe.subgraph()``.
+    local ids of its ``Lobe.subgraph()``, found by the jump-back search
+    (``symmetry._Engine``), so it is not ``automorphism_generators``' list.
     """
     class_of: tuple[int, ...]
     class_reps: tuple[int, ...]
@@ -327,7 +328,7 @@ def lobe_classes(g: Graph, d: LobeDecomposition) -> LobeClasses:
         plan = plans.get(edges)
         if plan is None:
             key, lab, gens, _, order = _run_engine(
-                _sorted_graph(len(lobe.vertices), edges))
+                _sorted_graph(len(lobe.vertices), edges), jump=True)
             k = by_key.setdefault(key, len(reps))
             if k == len(reps):
                 reps.append(i)

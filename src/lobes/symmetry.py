@@ -13,10 +13,14 @@ order is read off the first path of the search tree (McKay, "Practical
 graph isomorphism", 1981), so an engine run also yields |Aut|.  An
 isomorphism test searches the second graph only until a leaf reaches the
 first graph's canonical form, which is the leaf its full search would keep.
-Searches whose generators are thrown away (both of an isomorphism test's,
-and the engine certificate's) jump back from a leaf equal to the first one
-to the first path (McKay 1981), which keeps their results byte for byte;
-the searches that return generators run in full.
+Every search whose generator list nobody reads jumps back from a leaf
+equal to the first one to the first path (McKay 1981): both of an
+isomorphism test's, the engine certificate's, and those that give Aut(g)
+only as a group (``_aut_group`` and ``lobe_classes``, read for orbits and
+the order).  Jump-back keeps keys, labelings and the order byte for byte,
+and the fewer generators it finds still generate Aut(g), so every orbit is
+the full search's.  Only ``automorphism_generators``, whose list ``aut``
+prints and ``lobe_stabilizer`` turns into Schreier generators, runs in full.
 
 Everything here is a pure function of its inputs; all orders (cell order,
 branch order, orbit cell order) are fixed so output is deterministic.
@@ -207,9 +211,16 @@ class _Engine:
     the abandoned part holds no ``stop_key`` leaf that was not met before.
     ``order`` is unchanged: a jump leaves c's subtree only from a leaf equal
     to the first one, so every explored child of A in c0's orbit under the
-    stabilizer of A's prefix still joins c0's orbit under A's fixers.  The
-    generators found are fewer, so only callers that discard them set
-    ``jump``.
+    stabilizer of A's prefix still joins c0's orbit under A's fixers.
+
+    The generators found are fewer, but they still generate Aut(g).  Let H
+    be the group they generate, so H <= Aut(g).  At each first-path node,
+    the node's fixers lie in H's pointwise stabilizer of its prefix, so c0's
+    orbit under that stabilizer contains c0's orbit under the fixers.  The
+    first leaf's prefix has a trivial stabilizer, so by the orbit-stabilizer
+    theorem along the first path |H| >= ``order`` = |Aut(g)|, and H is
+    Aut(g).  So a caller that reads the generators only as a group (orbits,
+    order) sets ``jump``; one whose list is printed or pinned does not.
     """
 
     def __init__(self, g: Graph, initial_cells: list[list[int]],
@@ -387,11 +398,12 @@ def _color_cells(n: int, colors) -> tuple[list[list[int]], tuple]:
     return cells, signature
 
 
-def _run_engine(g: Graph, colors=None) -> tuple[tuple, Perm, list[Perm],
-                                                 tuple, int]:
-    """(canonical edge tuple, labeling, generators, colour signature, order)."""
+def _run_engine(g: Graph, colors=None, jump: bool = False
+                ) -> tuple[tuple, Perm, list[Perm], tuple, int]:
+    """(canonical edge tuple, labeling, generators, colour signature, order);
+    with ``jump``, the generators are jump-back's (see ``_Engine``)."""
     cells, signature = _color_cells(g.vertex_count, colors)
-    key, lab, gens, order = _Engine(g, cells).run()
+    key, lab, gens, order = _Engine(g, cells, jump=jump).run()
     return key, lab, gens, signature, order
 
 
@@ -399,6 +411,15 @@ def automorphism_generators(g: Graph, colors=None) -> GeneratorSet:
     """Generators of Aut(g) (color-preserving automorphisms when colors given),
     carrying the group order the search recorded."""
     _, _, gens, _, order = _run_engine(g, colors)
+    return GeneratorSet(g.vertex_count, tuple(gens), "aut", order)
+
+
+def _aut_group(g: Graph) -> GeneratorSet:
+    """Aut(g) for callers that read its generators only as a group (orbits,
+    order): ``automorphism_generators(g)``'s group and recorded order, from
+    the jump-back search, whose generator list differs and is usually
+    shorter."""
+    _, _, gens, _, order = _run_engine(g, jump=True)
     return GeneratorSet(g.vertex_count, tuple(gens), "aut", order)
 
 

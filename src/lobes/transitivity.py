@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from .decomposition import (LobeClasses, LobeDecomposition, connectivity_class,
                             decompose, lobe_classes, lobe_distances)
 from .graph import Graph, bipartition, is_connected
-from .symmetry import (GeneratorSet, _engine_certificate, _image_tables,
-                       _orbit_cells, _walk_image, automorphism_generators,
+from .symmetry import (GeneratorSet, _aut_group, _engine_certificate,
+                       _image_tables, _orbit_cells, _walk_image,
                        find_isomorphism, orbit_partition)
 
 
@@ -101,7 +101,7 @@ def classify_direct(g: Graph) -> OrbitCounts:
     if not is_connected(g):
         raise TransitivityError("classify_direct requires a connected input")
     d = decompose(g) if connectivity_class(g) == "connectivity_one" else None
-    return _orbit_counts(g, automorphism_generators(g), d)
+    return _orbit_counts(g, _aut_group(g), d)
 
 
 def _orbit_counts(g: Graph, gens: GeneratorSet,
@@ -153,8 +153,8 @@ def is_lobe_transitive_thm(g: Graph, d: LobeDecomposition,
                            lobe0: int = 0) -> Verdict:
     """Lobe transitivity via the two-part criterion.
 
-    ``classes`` is ``lobe_classes(g, d)`` and ``gens`` generates Aut(g)
-    (``automorphism_generators(g)``); ``lobe0`` is the base lobe.
+    ``classes`` is ``lobe_classes(g, d)`` and ``gens`` is any generating
+    set of Aut(g); ``lobe0`` is the base lobe.
 
     Condition (1): a single lobe isomorphism class.  Condition (2): some
     choice of reference labelings makes every stabilizer-orbit counting
@@ -319,7 +319,7 @@ def k_arc_orbit_count(g: Graph, k: int) -> int:
     arcs = enumerate_k_arcs(g, k)
     if not arcs:
         raise TransitivityError(f"graph has no {k}-arcs")
-    tables = _image_tables(automorphism_generators(g), arcs, _walk_image,
+    tables = _image_tables(_aut_group(g), arcs, _walk_image,
                            f"generator does not act on the {k}-arcs domain")
     return len(_orbit_cells(arcs, tables))
 
@@ -483,7 +483,7 @@ def classify(g: Graph) -> ClassificationReport:
     if not is_connected(g) or g.vertex_count == 0:
         raise TransitivityError("classify requires a nonempty connected input")
     conn = connectivity_class(g)
-    gens = automorphism_generators(g)
+    gens = _aut_group(g)
     d = decompose(g) if conn == "connectivity_one" else None
     oracle = _orbit_counts(g, gens, d)
     theorem = None

@@ -84,6 +84,28 @@ def test_python_m_lobes_runs_from_a_checkout(tmp_path):
     assert parse_graph(done.stdout) == named_graph("petersen")
 
 
+@pytest.mark.parametrize("argv", [["decompose", "bowtie.g"],
+                                  ["named", "path", "3000"]])
+def test_closed_stdout_exits_3_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # fails: at the final flush for the small output, inside print for the
+    # one larger than the stdout buffer
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lobes"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, cwd=FIXTURES, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    # one error line, no traceback
+    assert done.stderr == \
+        "error: stdout was closed before the output was written\n"
+
+
 def test_karc(tmp_path, capsys):
     pet = tmp_path / "petersen.g"
     pet.write_text(serialize_graph(named_graph("petersen")))

@@ -1,5 +1,6 @@
 """Symmetry kernels against the brute-force oracle."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -7,15 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from lobes import decomposition
 from lobes.builder import build_truncation, validate_spec, with_depth
 from lobes.catalog import named_graph
-from lobes.decomposition import decompose, lobe_classes
+from lobes.decomposition import connectivity_class, decompose, lobe_classes
 from lobes.graph import make_graph, relabel_graph
-from lobes.symmetry import (GeneratorSet, _color_cells, _Engine,
-                            automorphism_generators, canonical_certificate,
-                            compose, find_isomorphism, generator_set,
-                            group_order, inverse_perm, is_automorphism,
-                            lobe_stabilizer, orbit_partition, restrict_to)
+from lobes.symmetry import (GeneratorSet, _aut_group, _color_cells, _Engine,
+                            _run_engine, automorphism_generators,
+                            canonical_certificate, compose, find_isomorphism,
+                            generator_set, group_order, inverse_perm,
+                            is_automorphism, lobe_stabilizer, orbit_partition,
+                            restrict_to)
 
 from brute import backtracking_isomorphism, brute_automorphisms
 from enumeration import (all_graphs_up_to, connected_graphs_up_to,
@@ -381,12 +384,52 @@ def test_recorded_order_ignores_the_degree_bound():
 # Jump-back against the full search
 # ---------------------------------------------------------------------------
 
-def _assert_jump_back_exact(g, colors=None):
-    """The jump-back search keeps the full search's key, labeling and order."""
+def _full_search_lobe_classes(g, d):
+    """``lobe_classes`` with every engine run a full search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "_run_engine",
+                   lambda sub, colors=None, jump=False: _run_engine(sub))
+        return lobe_classes(g, d)
+
+
+def _assert_same_group(jump, full, graph, chain=True):
+    """``jump`` generates the group of ``full``: its Schreier-Sims order
+    (with ``chain``) is the recorded one and its orbits on vertices, edges
+    and arcs are equal."""
+    assert jump.order == full.order, graph.edges
+    if chain:
+        assert _chain_order(jump) == jump.order, graph.edges
+    for domain in ("vertices", "edges", "arcs"):
+        assert orbit_partition(jump, domain, graph=graph) == \
+            orbit_partition(full, domain, graph=graph), (graph.edges, domain)
+
+
+def _assert_jump_back_exact(g, colors=None, chain=True):
+    """The jump-back search keeps the full search's key, labeling and order,
+    and its fewer generators generate the same group.  Without colours, on
+    a connectivity-1 graph, the lobe orbits and every ``lobe_classes``
+    field but the generator lists are also the full search's."""
     cells, _ = _color_cells(g.vertex_count, colors)
-    key, lab, _, order = _Engine(g, cells).run()
-    jkey, jlab, _, jorder = _Engine(g, cells, jump=True).run()
+    key, lab, gens, order = _Engine(g, cells).run()
+    jkey, jlab, jgens, jorder = _Engine(g, cells, jump=True).run()
     assert (jkey, jlab, jorder) == (key, lab, order), (g.edges, colors)
+    full = GeneratorSet(g.vertex_count, tuple(gens), "aut", order)
+    jump = GeneratorSet(g.vertex_count, tuple(jgens), "aut", jorder)
+    _assert_same_group(jump, full, g, chain)
+    if colors is not None or connectivity_class(g) != "connectivity_one":
+        return
+    assert _aut_group(g) == jump
+    d = decompose(g)
+    assert orbit_partition(jump, "lobes", decomposition=d) == \
+        orbit_partition(full, "lobes", decomposition=d), g.edges
+    classes = lobe_classes(g, d)
+    ref = _full_search_lobe_classes(g, d)
+    assert dataclasses.replace(classes, rep_generators=()) == \
+        dataclasses.replace(ref, rep_generators=()), g.edges
+    for rep, rep_gens, ref_gens in zip(classes.class_reps,
+                                       classes.rep_generators,
+                                       ref.rep_generators):
+        _assert_same_group(rep_gens, ref_gens, d.lobes[rep].subgraph()[0])
 
 
 def test_jump_back_is_exact_on_all_small_graphs():
@@ -417,4 +460,7 @@ def test_jump_back_is_exact_on_fixture_truncations():
             g = build_truncation(with_depth(spec, depth)).graph
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
-            _assert_jump_back_exact(relabel_graph(g, perm))
+            # _Chain's Schreier-Sims takes seconds from about 100 vertices
+            # on these groups; the orbits are compared on every graph
+            _assert_jump_back_exact(relabel_graph(g, perm),
+                                    chain=g.vertex_count <= 100)
